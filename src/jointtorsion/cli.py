@@ -23,7 +23,7 @@ import time
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .fredholm import TrigPoly, closed_form_di, numeric_det_invariant
-from .koszul import KoszulQuadruple, joint_torsion_pair, joint_torsion_quad
+from .koszul import KoszulQuadruple, joint_torsion_quad
 from .linalg import ExactMatrix
 from .scalars import QiScalar
 from .suites import run_suite
@@ -150,9 +150,10 @@ def _handle_pair(payload: dict) -> dict:
     dim = _as_int(_need(payload, "dim", "$.payload"), "$.payload.dim")
     a = _square(payload, "a", dim, "$.payload")
     b = _square(payload, "b", dim, "$.payload")
-    value = joint_torsion_pair(a, b)
+    if not a.commutator_with(b).is_zero():
+        raise DomainError("operators do not commute")
     report = joint_torsion_quad(KoszulQuadruple(a, b, b, a))
-    return {"value": value.to_text(), "report": _quad_report(report)}
+    return {"value": report.value.to_text(), "report": _quad_report(report)}
 
 
 def _handle_quad(payload: dict) -> dict:

@@ -5,6 +5,13 @@ kernel, image, and quotient basis is derived from reduced row echelon form
 with a leftmost first-nonzero pivot scan, so identical inputs always produce
 identical bases and therefore identical torsion scalars.
 
+Elimination is fraction-free over the Gaussian integers Z[i] (Bareiss): each
+row is scaled by the lcm of its denominators, every update divides exactly by
+the previous pivot, and entries become canonical scalars only when a result
+is read.  Scaling rows leaves the zero pattern unchanged, so the pivot scan
+picks the same pivots as plain Gauss-Jordan over Q(i), and every basis,
+transform and determinant equals the one plain elimination gives.
+
 Subquotients (kernels, cokernels, homology spaces) are represented by
 explicit matrices: a cycle basis, a boundary basis, a representative basis
 whose classes span the quotient, and lift/project maps realizing the section
@@ -13,6 +20,9 @@ products, with well-definedness checked exactly.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import DomainError
 from .scalars import ONE, ZERO, QiScalar
@@ -24,6 +34,159 @@ def _to_scalar(value) -> QiScalar:
     if isinstance(value, str):
         return QiScalar.parse(value)
     return QiScalar(value)
+
+
+# -- fraction-free elimination kernel ------------------------------------------
+#
+# A row is held as (re, im, den): the real and imaginary parts of its
+# Gaussian-integer numerators, each packed into one Python int by _Slots, and
+# the clearing factor den by which the row was scaled to make them integral.
+
+
+class _Slots:
+    """Packs a row of integers c_0 .. c_{w-1} into the one integer
+    sum(c_j * 2**(j * bits)).
+
+    Sums, differences, multiples and exact quotients of packed rows are the
+    packed entrywise results, because packing evaluates the polynomial
+    sum(c_j * t**j) at t = 2**bits, which is a ring homomorphism.  So one
+    big-integer operation updates a whole row.  Reading entries back is
+    exact while every |c_j| < 2**(bits - 1).
+    """
+
+    __slots__ = ("bits", "mask", "half", "offset")
+
+    def __init__(self, bits: int, width: int):
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.half = 1 << (bits - 1)
+        # half in every slot: adding it makes every digit nonnegative
+        self.offset = self.half * (((1 << (bits * width)) - 1) // self.mask)
+
+    def pack(self, values) -> int:
+        x = 0
+        if any(values):
+            for c in reversed(values):
+                x = (x << self.bits) + c
+        return x
+
+    def entry(self, x: int, j: int) -> int:
+        return (((x + self.offset) >> (j * self.bits)) & self.mask) - self.half
+
+    def unpack(self, x: int, start: int, width: int) -> list:
+        """Entries start .. start+width-1 of the packed row x."""
+        if not x:
+            return [0] * width
+        x += self.offset
+        mask, half, bits = self.mask, self.half, self.bits
+        return [((x >> s) & mask) - half
+                for s in range(start * bits, (start + width) * bits, bits)]
+
+
+def _cleared_rows(m: "ExactMatrix", augment: bool):
+    """The rows of m, each scaled by the lcm of its denominators, packed.
+
+    With ``augment`` every row i is followed by den * e_i, so elimination on
+    the result records the transform beside the reduced matrix.  The slot
+    width holds Hadamard's bound on every minor (the product of the row
+    norms), which bounds every entry fraction-free elimination produces.
+    """
+    n, w = m.rows, m.cols
+    cleared = []
+    bits = 2
+    for i in range(n):
+        row = m.entries[i * w:(i + 1) * w]
+        den = lcm(*[e.re_den for e in row], *[e.im_den for e in row])
+        if den == 1:
+            re = [e.re_num for e in row]
+            im = [e.im_num for e in row]
+        else:
+            re = [e.re_num * (den // e.re_den) for e in row]
+            im = [e.im_num * (den // e.im_den) for e in row]
+        norm_sq = sum(map(mul, re, re)) + sum(map(mul, im, im))
+        if augment:
+            norm_sq += den * den
+        bits += (norm_sq.bit_length() + 1) // 2
+        cleared.append((re, im, den))
+    slots = _Slots(bits, w + n if augment else w)
+    rows = []
+    for i, (re, im, den) in enumerate(cleared):
+        packed = slots.pack(re)
+        if augment:
+            packed += den << (bits * (w + i))
+        rows.append((packed, slots.pack(im), den))
+    return rows, slots
+
+
+def _fraction_free(rows: list, slots: _Slots, cols: int, jordan: bool):
+    """Fraction-free elimination over Z[i] (Bareiss, Math. Comp. 22, 1968).
+
+    Scans columns ``0 .. cols-1`` for the first nonzero entry at or below the
+    next pivot row and swaps that row up.  Every other row (``jordan``) or
+    every row below (otherwise) becomes (a * row - f * pivot_row) / q, with
+    a the new pivot, f the row's entry in the pivot column and q the
+    previous pivot; the division is exact in Z[i].  Row scaling keeps the
+    zero pattern, so the pivots are those of plain Gauss-Jordan.
+
+    Works in place; returns (pivot columns, last pivot, number of swaps).
+    """
+    n = len(rows)
+    entry = slots.entry
+    pivots = []
+    qr, qi = 1, 0
+    swaps = 0
+    for col in range(cols):
+        k = len(pivots)
+        if k >= n:
+            break
+        for src in range(k, n):
+            re, im, _ = rows[src]
+            ar, ai = entry(re, col), entry(im, col) if im else 0
+            if ar or ai:
+                break
+        else:
+            continue
+        if src != k:
+            rows[k], rows[src] = rows[src], rows[k]
+            swaps += 1
+        pre, pim, _ = rows[k]
+        for r in range(0 if jordan else k + 1, n):
+            if r == k:
+                continue
+            re, im, den = rows[r]
+            fr, fi = entry(re, col), entry(im, col) if im else 0
+            if not (fr or fi) and ar == qr and ai == qi:
+                continue
+            tr = ar * re - ai * im - fr * pre + fi * pim
+            ti = ar * im + ai * re - fr * pim - fi * pre
+            if qi:
+                nq = qr * qr + qi * qi
+                tr, ti = (tr * qr + ti * qi) // nq, (ti * qr - tr * qi) // nq
+            elif qr != 1:
+                tr, ti = tr // qr, ti // qr
+            rows[r] = (tr, ti, den)
+        qr, qi = ar, ai
+        pivots.append(col)
+    return pivots, (qr, qi), swaps
+
+
+def _quotients(re, im, gr, gi) -> list:
+    """The entries (re[j] + im[j] i) / (gr + gi i) as canonical QiScalars."""
+    if gi:
+        re, im = ([a * gr + b * gi for a, b in zip(re, im)],
+                  [b * gr - a * gi for a, b in zip(re, im)])
+        gr = gr * gr + gi * gi
+    elif gr < 0:
+        re, im, gr = [-a for a in re], [-b for b in im], -gr
+    raw = QiScalar._raw
+    out = []
+    for a, b in zip(re, im):
+        if a or b:
+            g, h = gcd(a, gr), gcd(b, gr)
+            out.append(raw(a // g, gr // g, b // h, gr // h))
+        else:
+            out.append(ZERO)
+    return out
 
 
 class ExactMatrix:
@@ -197,47 +360,12 @@ class ExactMatrix:
         column top-down for the first nonzero entry, with no magnitude
         heuristics, so the result depends only on the exact entries.
         """
-        if self._rref is not None:
-            return self._rref
-        n, m = self.rows, self.cols
-        work = [list(self.row(i)) for i in range(n)]
-        trans = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        pivots = []
-        prow = 0
-        for col in range(m):
-            if prow >= n:
-                break
-            src = None
-            for r in range(prow, n):
-                if not work[r][col].is_zero():
-                    src = r
-                    break
-            if src is None:
-                continue
-            if src != prow:
-                work[prow], work[src] = work[src], work[prow]
-                trans[prow], trans[src] = trans[src], trans[prow]
-            inv = work[prow][col].inverse()
-            work[prow] = [inv * v for v in work[prow]]
-            trans[prow] = [inv * v for v in trans[prow]]
-            for r in range(n):
-                if r == prow:
-                    continue
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                work[r] = [a - f * b for a, b in zip(work[r], work[prow])]
-                trans[r] = [a - f * b for a, b in zip(trans[r], trans[prow])]
-            pivots.append(col)
-            prow += 1
-        result = RrefResult(
-            rref=ExactMatrix(n, m, [v for r in work for v in r]),
-            pivots=tuple(pivots),
-            rank=len(pivots),
-            transform=ExactMatrix(n, n, [v for r in trans for v in r]),
-        )
-        self._rref = result
-        return result
+        if self._rref is None:
+            rows, slots = _cleared_rows(self, augment=True)
+            pivots, last, _ = _fraction_free(rows, slots, self.cols,
+                                             jordan=True)
+            self._rref = RrefResult(rows, slots, self.cols, pivots, last)
+        return self._rref
 
     def rank(self) -> int:
         return self.rref().rank
@@ -261,35 +389,19 @@ class ExactMatrix:
         return self.select_columns(self.rref().pivots)
 
     def determinant(self) -> QiScalar:
-        """Exact determinant by elimination with a deterministic pivot scan."""
+        """Exact determinant by fraction-free elimination with the same
+        deterministic pivot scan: the last pivot, signed by the row swaps,
+        over the product of the row clearing factors."""
         if not self.is_square():
             raise DomainError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return ONE
-        work = [list(self.row(i)) for i in range(n)]
-        det = ONE
-        for col in range(n):
-            src = None
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    src = r
-                    break
-            if src is None:
-                return ZERO
-            if src != col:
-                work[col], work[src] = work[src], work[col]
-                det = -det
-            piv = work[col][col]
-            det = det * piv
-            inv = piv.inverse()
-            for r in range(col + 1, n):
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                f = f * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return det
+        rows, slots = _cleared_rows(self, augment=False)
+        pivots, (pr, pi), swaps = _fraction_free(rows, slots, self.cols,
+                                                 jordan=False)
+        if len(pivots) < self.rows:
+            return ZERO
+        if swaps % 2:
+            pr, pi = -pr, -pi
+        return _quotients([pr], [pi], prod(den for _, _, den in rows), 0)[0]
 
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
@@ -327,13 +439,55 @@ class ExactMatrix:
 
 
 class RrefResult:
-    __slots__ = ("rref", "pivots", "rank", "transform")
+    """The reduced row echelon form ``rref`` of a matrix m, its ``pivots``
+    and ``rank``, and the recorded ``transform``, an invertible matrix with
+    transform * m = rref.
 
-    def __init__(self, rref, pivots, rank, transform):
-        self.rref = rref
-        self.pivots = pivots
-        self.rank = rank
-        self.transform = transform
+    Holds the rows of the fraction-free elimination of [m | I] and reads
+    each of the two matrices off them when it is first asked for, because
+    most callers need only the pivots.
+    """
+
+    __slots__ = ("pivots", "rank", "_rows", "_slots", "_cols", "_last",
+                 "_rref", "_transform")
+
+    def __init__(self, rows, slots, cols, pivots, last):
+        self.pivots = tuple(pivots)
+        self.rank = len(pivots)
+        self._rows = rows
+        self._slots = slots
+        self._cols = cols
+        self._last = last
+        self._rref = None
+        self._transform = None
+
+    @property
+    def rref(self) -> ExactMatrix:
+        if self._rref is None:
+            self._rref = self._block(0, self._cols)
+        return self._rref
+
+    @property
+    def transform(self) -> ExactMatrix:
+        if self._transform is None:
+            self._transform = self._block(self._cols, len(self._rows))
+        return self._transform
+
+    def _block(self, start: int, width: int) -> ExactMatrix:
+        """Columns start .. start+width-1 of the eliminated rows as
+        canonical scalars.  Pivot rows are last-pivot multiples of their
+        final values; rows past the rank were never normalised and also
+        carry their clearing factor."""
+        pr, pi = self._last
+        unpack = self._slots.unpack
+        entries = []
+        for k, (re, im, den) in enumerate(self._rows):
+            re, im = unpack(re, start, width), unpack(im, start, width)
+            if k < self.rank:
+                entries += _quotients(re, im, pr, pi)
+            else:
+                entries += _quotients(re, im, pr * den, pi * den)
+        return ExactMatrix(len(self._rows), width, entries)
 
 
 def rref_decompose(m: ExactMatrix):

@@ -165,8 +165,13 @@ class QiScalar:
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
         result = ONE
-        for _ in range(abs(exponent)):
-            result = result * base
+        exponent = abs(exponent)
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def conjugate(self) -> "QiScalar":

@@ -1,15 +1,13 @@
 """Seeded verification suites behind the CLI's ``verify`` command.
 
 Every suite is deterministic in (seed, count): instance i draws its own
-random stream from sha256(seed, i), instances run on a thread pool, and the
-summary is aggregated in index order.  Each failure carries a reproducer
-request (rerunning the suite with the same seed up to that index hits the
-identical instance).
+random stream from sha256(seed, i), instances run one after another in index
+order, and the summary is aggregated in that order.  Each failure carries a
+reproducer request (rerunning the suite with the same seed up to that index
+hits the identical instance).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
@@ -250,17 +248,11 @@ def run_suite(name: str, seed: int, count: int) -> dict:
         raise DomainError("count must be positive")
     runner = SUITES[name]
 
-    def instance(i):
-        return i, runner(seed, i)
-
-    with ThreadPoolExecutor(max_workers=min(8, count)) as pool:
-        raw = list(pool.map(instance, range(count)))
-    raw.sort(key=lambda pair: pair[0])
-
     properties: dict = {}
     failures = []
     passes = 0
-    for i, results in raw:
+    for i in range(count):
+        results = runner(seed, i)
         instance_ok = True
         for r in results:
             stats = properties.setdefault(r["property"], {"pass": 0, "fail": 0})

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from jointtorsion.cli import SchemaError, run_request
+from jointtorsion.errors import DomainError
 from jointtorsion.suites import run_suite
 
 
@@ -87,6 +88,34 @@ def test_schema_violation_exits_3_with_path():
     proc = invoke(req)
     assert proc.returncode == 3
     assert "$.payload.d" in json.loads(proc.stdout)["error"]
+
+
+def test_pair_request_runs_joint_torsion_once(monkeypatch):
+    from jointtorsion import cli, koszul
+    from jointtorsion.linalg import ExactMatrix
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return koszul.joint_torsion_quad(q)
+
+    monkeypatch.setattr(cli, "joint_torsion_quad", counted)
+    # b = a**2 + a commutes with a
+    payload = {"dim": 2, "a": ["1", "i", "0", "2"], "b": ["2", "4*i", "0", "6"]}
+    out = run_request({"cmd": "joint_torsion_pair", "payload": payload})
+    assert len(calls) == 1
+    a = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["a"]])
+    b = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["b"]])
+    assert out["value"] == koszul.joint_torsion_pair(a, b).to_text()
+
+
+def test_pair_request_rejects_non_commuting():
+    req = {"cmd": "joint_torsion_pair",
+           "payload": {"dim": 2, "a": ["0", "1", "0", "0"],
+                       "b": ["0", "0", "1", "0"]}}
+    with pytest.raises(DomainError, match="operators do not commute"):
+        run_request(req)
 
 
 def test_domain_error_exits_2():
@@ -173,6 +202,21 @@ def test_injected_failure_reports_reproducer(monkeypatch):
     for i, failure in enumerate(summary["failures"]):
         assert failure["index"] == i
         assert failure["reproducer"]["payload"]["count"] == i + 1
+
+
+def test_suite_instances_run_in_index_order(monkeypatch):
+    from jointtorsion import suites as suites_mod
+
+    seen = []
+
+    def recording(seed, index):
+        seen.append(index)
+        return [{"property": "recorded", "pass": True, "reproducer": None}]
+
+    monkeypatch.setitem(suites_mod.SUITES, "recording", recording)
+    summary = suites_mod.run_suite("recording", seed=1, count=12)
+    assert seen == list(range(12))
+    assert summary["passes"] == 12
 
 
 def test_seed_flag_fills_missing_seed():

@@ -3,11 +3,13 @@ subquotients with induced maps."""
 
 import pytest
 
-from jointtorsion import (DomainError, ExactMatrix, build_subquotient,
-                          cokernel_subquotient, induced_map,
-                          kernel_subquotient, qi, rref_decompose,
-                          subspace_bases)
-from jointtorsion.randgen import child_rng, random_matrix, random_singularized
+from jointtorsion import (DomainError, ExactMatrix, QiScalar,
+                          build_subquotient, cokernel_subquotient,
+                          induced_map, kernel_subquotient, qi,
+                          rref_decompose, subspace_bases)
+from jointtorsion.randgen import (child_rng, random_matrix, random_qi,
+                                  random_singularized)
+from jointtorsion.scalars import ONE, ZERO
 
 
 def mat(rows):
@@ -183,3 +185,128 @@ def test_induced_map_respects_composition():
         lhs = induced_map(u * v, sq, sq)
         rhs = induced_map(u, sq, sq) * induced_map(v, sq, sq)
         assert lhs == rhs
+
+
+# -- differential test against per-entry elimination over Q(i) ----------------
+
+def reference_rref(m):
+    """Gauss-Jordan with QiScalar arithmetic on every entry, the same
+    leftmost first-nonzero pivot scan, and the transform carried alongside.
+    Returns (rref, pivots, rank, transform)."""
+    n, cols = m.rows, m.cols
+    work = [list(m.row(i)) for i in range(n)]
+    trans = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(cols):
+        prow = len(pivots)
+        if prow >= n:
+            break
+        src = next((r for r in range(prow, n) if not work[r][col].is_zero()),
+                   None)
+        if src is None:
+            continue
+        work[prow], work[src] = work[src], work[prow]
+        trans[prow], trans[src] = trans[src], trans[prow]
+        inv = work[prow][col].inverse()
+        work[prow] = [inv * v for v in work[prow]]
+        trans[prow] = [inv * v for v in trans[prow]]
+        for r in range(n):
+            f = work[r][col]
+            if r == prow or f.is_zero():
+                continue
+            work[r] = [a - f * b for a, b in zip(work[r], work[prow])]
+            trans[r] = [a - f * b for a, b in zip(trans[r], trans[prow])]
+        pivots.append(col)
+    return (ExactMatrix(n, cols, [v for r in work for v in r]), tuple(pivots),
+            len(pivots), ExactMatrix(n, n, [v for r in trans for v in r]))
+
+
+def reference_determinant(m):
+    """Gaussian elimination with QiScalar arithmetic on every entry."""
+    n = m.rows
+    work = [list(m.row(i)) for i in range(n)]
+    det = ONE
+    for col in range(n):
+        src = next((r for r in range(col, n) if not work[r][col].is_zero()),
+                   None)
+        if src is None:
+            return ZERO
+        if src != col:
+            work[col], work[src] = work[src], work[col]
+            det = -det
+        piv = work[col][col]
+        det = det * piv
+        for r in range(col + 1, n):
+            f = work[r][col] * piv.inverse()
+            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def assert_matches_reference(m):
+    res = m.rref()
+    rref, pivots, rank, transform = reference_rref(m)
+    assert res.pivots == pivots
+    assert res.rank == rank
+    assert res.rref == rref
+    assert res.transform == transform  # every row, also those past the rank
+    if m.is_square():
+        det = m.determinant()
+        assert det == reference_determinant(m)
+        if rank < m.rows:
+            assert det == ZERO
+
+
+def rank_deficient(rng, m):
+    """m with some rows or columns zeroed or copied from another."""
+    ent = list(m.entries)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5 and m.rows > 1:
+            i, k = rng.sample(range(m.rows), 2)
+            for j in range(m.cols):
+                ent[i * m.cols + j] = (ZERO if rng.random() < 0.5
+                                       else ent[k * m.cols + j])
+        elif m.cols > 1:
+            j, k = rng.sample(range(m.cols), 2)
+            zero = rng.random() < 0.5
+            for i in range(m.rows):
+                ent[i * m.cols + j] = ZERO if zero else ent[i * m.cols + k]
+    return ExactMatrix(m.rows, m.cols, ent)
+
+
+@pytest.mark.parametrize("imag_prob", [0.0, 0.5, 1.0])
+def test_kernel_matches_reference_on_all_shapes(imag_prob):
+    rng = child_rng(17, int(imag_prob * 10))
+    for rows in range(8):
+        for cols in range(10):
+            m = random_matrix(rng, rows, cols, mag=4, imag_prob=imag_prob)
+            assert_matches_reference(m)
+            assert_matches_reference(rank_deficient(rng, m))
+
+
+def test_kernel_matches_reference_on_square_singular():
+    rng = child_rng(17, 20)
+    for n in range(1, 8):
+        for _ in range(3):
+            m = rank_deficient(rng, random_matrix(rng, n, n, mag=3))
+            assert_matches_reference(m)
+
+
+def test_kernel_matches_reference_with_many_prime_denominators():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    rng = child_rng(17, 30)
+    ent = [QiScalar((rng.randint(-60, 60), p),
+                    (rng.randint(-60, 60), primes[-1 - k]))
+           for k, p in enumerate(primes)]
+    m = ExactMatrix(4, 4, ent)
+    assert_matches_reference(m)
+    assert_matches_reference(m.hstack(m.scale(qi(1, 1))))
+    assert_matches_reference(m.vstack(m.scale(qi((1, 7)))))
+
+
+def test_kernel_matches_reference_with_large_entries():
+    rng = child_rng(17, 40)
+    big = 2 ** 90
+    ent = [random_qi(rng) * QiScalar((rng.randint(-big, big), rng.randint(1, big)))
+           for _ in range(5 * 6)]
+    assert_matches_reference(ExactMatrix(5, 6, ent))
+    assert_matches_reference(ExactMatrix(5, 5, ent[:25]))

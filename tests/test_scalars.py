@@ -83,3 +83,16 @@ def test_fraction_accessors():
     x = qi((3, 4), (-1, 2))
     assert x.re == Fraction(3, 4)
     assert x.im == Fraction(-1, 2)
+
+
+def test_power_by_squaring():
+    x = qi((2, 3), (-1, 5))
+    assert x ** 0 == qi(1)
+    assert qi(0) ** 0 == qi(1)
+    assert x ** 1 == x
+    assert x ** 5 == x * x * x * x * x
+    assert x ** -3 == (x * x * x).inverse()
+    assert qi(1, 1) ** 64 == qi(2 ** 32)
+    assert qi(1, 1) ** -2 == qi(0, (-1, 2))
+    with pytest.raises(ZeroDivisionError):
+        qi(0) ** -1
