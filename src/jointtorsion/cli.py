@@ -8,7 +8,8 @@ command lives inside the request, so suites are plain data:
 
 Exit codes: 0 success, 2 domain error (a module precondition failed),
 3 parse error (malformed JSON or a payload that does not match the
-command's schema; messages carry the JSON path).  Output bytes are
+command's schema, including a trig coefficient that is a boolean or not
+a finite number; messages carry the JSON path).  Output bytes are
 identical for identical (request, seed); wall-clock timing is only
 included when the request sets "timing": true.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -94,6 +96,18 @@ def _symbol(value, path: str):
     return make_symbol(leading, roots)
 
 
+def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a finite number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{path}: expected a finite number")
+    return x
+
+
 def _trig_poly(value, path: str) -> TrigPoly:
     obj = _as_dict(value, path)
     coeffs = _as_dict(_need(obj, "coeffs", path), f"{path}.coeffs")
@@ -104,9 +118,10 @@ def _trig_poly(value, path: str) -> TrigPoly:
         except ValueError as exc:
             raise SchemaError(f"{path}.coeffs: bad degree {key!r}") from exc
         arr = _as_list(pair, f"{path}.coeffs.{key}")
-        if len(arr) != 2 or not all(isinstance(x, (int, float)) for x in arr):
+        if len(arr) != 2:
             raise SchemaError(f"{path}.coeffs.{key}: expected [re, im]")
-        out[degree] = complex(arr[0], arr[1])
+        out[degree] = complex(*(_finite(x, f"{path}.coeffs.{key}[{i}]")
+                                for i, x in enumerate(arr)))
     return TrigPoly(out)
 
 

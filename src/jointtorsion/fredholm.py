@@ -10,21 +10,34 @@ inverts them through the analytic/co-analytic splitting
 
 (triangular factors invert exactly at the symbol level), multiplies out the
 commutator at an enlarged size N + B, and returns the determinant of the
-leading N x N block.  The buffer B absorbs the truncation edge; the default
-follows B = 4 K ceil(ln(1/eps)/ln 2) with eps = 1e-14 and K the degree span.
+leading N x N block.  The buffer B absorbs the truncation edge.  Its default
+is B = 2 S, where S, the significant span, is the largest degree at which
+any of the eight exponential factors has a coefficient above 1e-14: each
+Toeplitz factor then reaches at most S rows past the block.
+
+The determinant comes from a blocked LU with partial pivoting (panels of
+32 columns, each column updated left-looking by one matrix-vector product,
+then one matrix product for the trailing block).  Every pivot must reach
+the stability floor, else the truncation is reported unstable.
+
+numpy is imported by the functions that use it, so importing this module
+(and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _PIVOT_FLOOR = 1e-12
 _TERM_FLOOR = 1e-300
+_MAX_TERMS = 400
+_PANEL = 32
 
 
 class TrigPoly:
@@ -86,7 +99,7 @@ def exp_symbol_coeffs(f: TrigPoly, order: int) -> dict:
         raise DomainError("truncation order below the degree span")
     result = {0: 1.0 + 0j}
     term = {0: 1.0 + 0j}
-    for j in range(1, 400):
+    for j in range(1, _MAX_TERMS):
         nxt: dict = {}
         for k1, v1 in term.items():
             for k2, v2 in f.coeffs.items():
@@ -110,11 +123,16 @@ def closed_form_di(f: TrigPoly, g: TrigPoly) -> complex:
         fk = f[-k]
         if fk != 0:
             total += k * fk * gk
-    return cmath.exp(total)
+    try:
+        return cmath.exp(total)
+    except OverflowError as exc:
+        raise DomainError("closed form overflows double precision") from exc
 
 
 def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
     """Dense Toeplitz block M[j, k] = coeffs[j - k] of the given size."""
+    import numpy as np
+
     m = np.zeros((size, size), dtype=complex)
     for k, v in coeffs.items():
         if abs(k) >= size:
@@ -128,28 +146,34 @@ def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
 
 
 def _lu_determinant(block: np.ndarray) -> complex:
-    """Determinant by LU with partial pivoting; tiny pivots are rejected."""
+    """Determinant by blocked LU with partial pivoting (first maximum of
+    |a| in the column); pivots below the floor, or NaN, are rejected.
+
+    Within a panel each column is brought up to date left-looking, pivoted,
+    and its pivot row's U part computed across the whole width; the trailing
+    block then takes the panel's update in one product.
+    """
+    import numpy as np
+
     a = block.copy()
     n = a.shape[0]
     det = 1.0 + 0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[p, k]
-        if abs(pivot) < _PIVOT_FLOOR:
-            raise DomainError("truncation unstable, increase N or shrink symbol")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= pivot
-        if k + 1 < n:
-            factors = a[k + 1:, k] / pivot
-            a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
+    for p0 in range(0, n, _PANEL):
+        p1 = min(p0 + _PANEL, n)
+        for k in range(p0, p1):
+            a[k:, k] -= a[k:, p0:k] @ a[p0:k, k]
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            pivot = a[p, k]
+            if not abs(pivot) >= _PIVOT_FLOOR:
+                raise DomainError("truncation unstable, increase N or shrink symbol")
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                det = -det
+            det *= pivot
+            a[k + 1:, k] /= pivot
+            a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
+        a[p1:, p1:] -= a[p1:, p0:p1] @ a[p0:p1, p1:]
     return det
-
-
-def default_buffer(f: TrigPoly, g: TrigPoly, eps: float = 1e-14) -> int:
-    span = max(1, f.span(), g.span())
-    return 4 * span * math.ceil(math.log(1.0 / eps) / math.log(2.0))
 
 
 def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
@@ -157,22 +181,21 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
     """Determinant of the leading size x size block of the truncated
     commutator T_{e^f} T_{e^g} T_{e^f}^{-1} T_{e^g}^{-1}.
 
-    Converges to ``closed_form_di(f, g)`` as the size grows.
+    Converges to ``closed_form_di(f, g)`` as the size grows.  The buffer
+    defaults to twice the significant span of the exponential factors.
     """
     if size < 16:
         raise DomainError("size below the supported minimum of 16")
-    if buffer is None:
-        buffer = default_buffer(f, g)
-    total = size + buffer
 
     def factors(poly: TrigPoly):
         lower_exp = poly.part("minus")
         upper_exp = poly.part("zero") + poly.part("plus")
-        lo = exp_symbol_coeffs(lower_exp, total - 1)
-        up = exp_symbol_coeffs(upper_exp, total - 1)
-        lo_inv = exp_symbol_coeffs(-lower_exp, total - 1)
-        up_inv = exp_symbol_coeffs(-upper_exp, total - 1)
-        return lo, up, lo_inv, up_inv
+        # An order no term of the series reaches: the full support.
+        full = _MAX_TERMS * max(1, poly.span())
+        return (exp_symbol_coeffs(lower_exp, full),
+                exp_symbol_coeffs(upper_exp, full),
+                exp_symbol_coeffs(-lower_exp, full),
+                exp_symbol_coeffs(-upper_exp, full))
 
     f_lo, f_up, f_lo_inv, f_up_inv = factors(f)
     g_lo, g_up, g_lo_inv, g_up_inv = factors(g)
@@ -182,8 +205,12 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
         for k, v in coeffs.items():
             if abs(v) > 1e-14 and abs(k) > significant:
                 significant = abs(k)
+    if buffer is None:
+        buffer = 2 * significant
     if buffer < 2 * significant:
         raise DomainError("buffer too small for the exponential coefficient span")
+    # toeplitz_matrix drops the degrees at or past the matrix size.
+    total = size + buffer
 
     op_a = toeplitz_matrix(f_lo, total) @ toeplitz_matrix(f_up, total)
     op_b = toeplitz_matrix(g_lo, total) @ toeplitz_matrix(g_up, total)

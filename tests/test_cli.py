@@ -237,3 +237,25 @@ def test_torsion_request_with_real_bases():
     proc = invoke(req)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-6"
+
+
+@pytest.mark.parametrize("bad", [True, float("nan"), float("inf"), float("-inf")])
+def test_trig_coefficient_must_be_a_finite_number(bad):
+    # json.dumps writes these as true, NaN, Infinity and -Infinity
+    req = {"cmd": "toeplitz_numeric",
+           "payload": {"f": {"coeffs": {"1": [1.0, 0.0]}},
+                       "g": {"coeffs": {"-1": [0.5, bad]}}, "n": 32}}
+    proc = invoke(req)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
+        "error": "$.payload.g.coeffs.-1[1]: expected a finite number"}
+
+
+def test_exact_request_does_not_load_numpy():
+    code = ("import sys, jointtorsion.cli as cli; "
+            f"cli.run_request({ZERO_QUAD!r}); "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

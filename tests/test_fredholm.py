@@ -2,11 +2,63 @@
 closed form, and convergence of truncated commutator determinants."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from jointtorsion import (DomainError, TrigPoly, closed_form_di,
                           exp_symbol_coeffs, numeric_det_invariant)
+from jointtorsion import fredholm
+from jointtorsion.fredholm import _PIVOT_FLOOR, _lu_determinant
+
+# The three fixed pairs of the numeric-convergence suite.
+NUMERIC_CORPUS = (
+    (TrigPoly({1: 1.0}), TrigPoly({-1: 1.0})),
+    (TrigPoly({1: 1.0, -1: 1.0}), TrigPoly({1: 1.0, -1: -1.0})),
+    (TrigPoly({1: 0.5, 2: 0.25}), TrigPoly({1: -0.3})),
+)
+
+
+def reference_lu_determinant(block):
+    """The unblocked LU the blocked one replaced: one rank-1 update per
+    column, pivot at the first maximum of |a| in the column."""
+    a = block.copy()
+    n = a.shape[0]
+    det = 1.0 + 0j
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = a[p, k]
+        if abs(pivot) < _PIVOT_FLOOR:
+            raise DomainError("truncation unstable, increase N or shrink symbol")
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            det = -det
+        det *= pivot
+        if k + 1 < n:
+            factors = a[k + 1:, k] / pivot
+            a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
+    return det
+
+
+def significant_span(f, g):
+    """Largest degree with a coefficient above 1e-14 in any of the eight
+    exponential factors e^{+-f_-}, e^{+-(f_0 + f_+)} and the same for g."""
+    span = 0
+    for poly in (f, g):
+        lower = poly.part("minus")
+        upper = poly.part("zero") + poly.part("plus")
+        for part in (lower, upper, -lower, -upper):
+            coeffs = exp_symbol_coeffs(part, 1000)
+            span = max([span] + [abs(k) for k, v in coeffs.items()
+                                 if abs(v) > 1e-14])
+    return span
+
+
+def random_trig_poly(rng, span, scale):
+    return TrigPoly({k: complex(rng.uniform(-scale, scale),
+                                rng.uniform(-scale, scale))
+                     for k in range(-span, span + 1) if rng.random() < 0.7})
 
 
 def test_exp_of_zero_is_delta():
@@ -54,6 +106,11 @@ def test_closed_form_basic_pairs():
     assert abs(closed_form_di(f2, g2) - math.exp(2)) < 1e-12
 
 
+def test_closed_form_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        closed_form_di(TrigPoly({1: 30.0}), TrigPoly({-1: -30.0}))
+
+
 def test_numeric_matches_closed_form_exponent_pair():
     f = TrigPoly({1: 1.0})
     g = TrigPoly({-1: 1.0})
@@ -94,3 +151,127 @@ def test_numeric_rejects_undersized_buffer():
     with pytest.raises(DomainError, match="buffer"):
         numeric_det_invariant(TrigPoly({1: 1.0}), TrigPoly({-1: 1.0}), 32,
                               buffer=2)
+
+
+# -- the blocked LU against the unblocked reference ----------------------------
+
+@pytest.mark.parametrize("n", [1, 16, 31, 32, 33, 64, 100, 256, 300])
+def test_blocked_lu_matches_reference(n):
+    rng = np.random.default_rng(1000 + n)
+    block = (rng.standard_normal((n, n))
+             + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
+    expected = reference_lu_determinant(block)
+    value = _lu_determinant(block)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def _unit_triangular(rng, n, entries):
+    lower = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = rng.choice(entries)
+    return lower
+
+
+def _upper(rng, n):
+    upper = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        upper[i, i] = rng.choice([1, -1, 1j, -1j]) * 2 ** rng.randrange(2)
+        for j in range(i + 1, n):
+            upper[i, j] = complex(rng.randrange(-2, 3), rng.randrange(-2, 3))
+    return upper
+
+
+@pytest.mark.parametrize("n", [2, 5, 33, 70])
+def test_blocked_lu_exact_with_tied_pivots(n):
+    # Below its diagonal L holds 0 or units, so each nonzero entry of a
+    # pivot column ties with the diagonal and the first maximum keeps the
+    # diagonal: the elimination recovers L and U exactly, without swaps.
+    rng = random.Random(n)
+    lower = _unit_triangular(rng, n, [0, 1, -1, 1j, -1j])
+    upper = _upper(rng, n)
+    exact = complex(np.prod(np.diag(upper)))
+    block = lower @ upper
+    assert reference_lu_determinant(block) == exact
+    assert _lu_determinant(block) == exact
+
+
+@pytest.mark.parametrize("n", [2, 5, 33, 70])
+def test_blocked_lu_exact_with_row_swaps(n):
+    # L has entries of modulus 1/2, so pivoting undoes the row permutation
+    # P exactly and the determinant is sign(P) times the diagonal of U.
+    rng = random.Random(100 + n)
+    lower = _unit_triangular(rng, n, [0, 0.5, -0.5, 0.5j, -0.5j])
+    upper = _upper(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    exact = (-1) ** inversions * complex(np.prod(np.diag(upper)))
+    block = (lower @ upper)[perm]
+    assert reference_lu_determinant(block) == exact
+    assert _lu_determinant(block) == exact
+
+
+def test_blocked_lu_rejects_rank_deficient_block():
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((40, 40)) + 0j
+    block[:, 35] = block[:, 3] - 2 * block[:, 17]
+    with pytest.raises(DomainError, match="truncation unstable"):
+        _lu_determinant(block)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (5, 20), (39, 39), (20, 5)])
+def test_blocked_lu_rejects_nan(where):
+    block = np.eye(40, dtype=complex) * 2
+    block[where] = complex("nan")
+    with pytest.raises(DomainError, match="truncation unstable"):
+        _lu_determinant(block)
+
+
+# -- the buffer ---------------------------------------------------------------
+
+def _record_sizes(monkeypatch):
+    sizes = []
+    original = fredholm.toeplitz_matrix
+
+    def recording(coeffs, size):
+        sizes.append(size)
+        return original(coeffs, size)
+
+    monkeypatch.setattr(fredholm, "toeplitz_matrix", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("pair", NUMERIC_CORPUS)
+def test_default_buffer_is_twice_the_significant_span(monkeypatch, pair):
+    f, g = pair
+    sizes = _record_sizes(monkeypatch)
+    numeric_det_invariant(f, g, 32)
+    assert len(sizes) == 8
+    assert set(sizes) == {32 + 2 * significant_span(f, g)}
+
+
+def test_explicit_buffer_is_honoured(monkeypatch):
+    f, g = NUMERIC_CORPUS[1]
+    span = significant_span(f, g)
+    sizes = _record_sizes(monkeypatch)
+    numeric_det_invariant(f, g, 32, buffer=2 * span + 5)
+    assert set(sizes) == {32 + 2 * span + 5}
+    numeric_det_invariant(f, g, 32, buffer=2 * span)
+    with pytest.raises(DomainError, match="buffer"):
+        numeric_det_invariant(f, g, 32, buffer=2 * span - 1)
+
+
+def test_default_buffer_as_accurate_as_the_old_default():
+    rng = random.Random(2024)
+    pairs = list(NUMERIC_CORPUS)
+    for i in range(30):
+        span = 1 + i % 3
+        pairs.append((random_trig_poly(rng, span, 1.5),
+                      random_trig_poly(rng, span, 1.5)))
+    for f, g in pairs:
+        old_buffer = 4 * max(1, f.span(), g.span()) * 47
+        for n in (32, 128):
+            value = numeric_det_invariant(f, g, n)
+            old = numeric_det_invariant(f, g, n, buffer=old_buffer)
+            assert abs(value - old) <= 1e-11 * abs(old)
