@@ -9,7 +9,7 @@ The package has two arithmetic worlds that never mix silently:
 """
 
 from .complexes import (BasedExactSequence, ChainComplexSpec, TorsionScalar,
-                        interleave_sign, rebase, torsion_scalar)
+                        interleave_sign, torsion_scalar)
 from .errors import DomainError
 from .fredholm import (TrigPoly, closed_form_di, exp_symbol_coeffs,
                        numeric_det_invariant)
@@ -21,10 +21,9 @@ from .koszul import (CommutingTuple, FACTORIZATION_SELECTORS,
                      joint_torsion_quad, lefschetz_ratio, perturbation_sigma,
                      pseudoinv_formula)
 from .linalg import (ExactMatrix, Subquotient, build_subquotient,
-                     cokernel_subquotient, induced_map, kernel_subquotient,
-                     rref_decompose, subspace_bases)
-from .scalars import QiScalar, qi, qi_arith, qi_modulus_cmp_one
-from .toeplitz import (AnalyticSymbol, CokernelModel, coker_action, make_symbol,
+                     cokernel_subquotient, induced_map, kernel_subquotient)
+from .scalars import QiScalar, qi, qi_modulus_cmp_one
+from .toeplitz import (AnalyticSymbol, coker_action, make_symbol,
                        restriction_data, restriction_sequences, tame_symbol,
                        toeplitz_joint_torsion)
 
@@ -34,14 +33,13 @@ __all__ = [
     "FACTORIZATION_SELECTORS", "JointTorsionReport", "KoszulQuadruple",
     "RestrictionData", "Subquotient", "TorsionScalar", "TrigPoly",
     "build_eps_sequences", "build_koszul", "build_quad_complex",
-    "build_subquotient", "closed_form_di", "coker_action", "CokernelModel",
+    "build_subquotient", "closed_form_di", "coker_action",
     "cokernel_subquotient", "det_commutator", "exp_symbol_coeffs",
     "factorization_identities", "graded_determinant", "induced_map",
     "interleave_sign", "joint_torsion_pair", "joint_torsion_quad",
     "kernel_subquotient", "lefschetz_ratio", "make_symbol",
     "numeric_det_invariant", "perturbation_sigma", "pseudoinv_formula",
-    "qi", "qi_arith", "qi_modulus_cmp_one", "QiScalar", "rebase",
-    "restriction_data", "restriction_sequences", "rref_decompose",
-    "subspace_bases", "tame_symbol", "toeplitz_joint_torsion",
+    "qi", "qi_modulus_cmp_one", "QiScalar", "restriction_data",
+    "restriction_sequences", "tame_symbol", "toeplitz_joint_torsion",
     "torsion_scalar",
 ]

@@ -8,10 +8,12 @@ command lives inside the request, so suites are plain data:
 
 Exit codes: 0 success, 2 domain error (a module precondition failed),
 3 parse error (malformed JSON or a payload that does not match the
-command's schema, including a trig coefficient that is a boolean or not
-a finite number; messages carry the JSON path).  Output bytes are
-identical for identical (request, seed); wall-clock timing is only
-included when the request sets "timing": true.
+command's schema, including scalar text outside the ASCII grammar, a
+negative dimension, a seed that is not an integer and a trig coefficient
+that is a boolean or not a finite number; messages carry the JSON path),
+4 internal error (any other exception; the body is {"error": "..."}, never
+a traceback).  Output bytes are identical for identical (request, seed);
+wall-clock timing is only included when the request sets "timing": true.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ def _need(payload: dict, key: str, path: str):
 def _as_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{path}: expected an integer")
+    return value
+
+
+def _as_dim(value, path: str) -> int:
+    value = _as_int(value, path)
+    if value < 0:
+        raise SchemaError(f"{path}: expected a nonnegative integer")
     return value
 
 
@@ -137,7 +146,7 @@ def _complex_text(z: complex) -> str:
 # -- command handlers ---------------------------------------------------------
 
 def _handle_torsion(payload: dict) -> dict:
-    spaces = [_as_int(v, f"$.payload.spaces[{i}]") for i, v in
+    spaces = [_as_dim(v, f"$.payload.spaces[{i}]") for i, v in
               enumerate(_as_list(_need(payload, "spaces", "$.payload"),
                                  "$.payload.spaces"))]
     diffs_raw = _as_list(_need(payload, "differentials", "$.payload"),
@@ -162,7 +171,7 @@ def _handle_torsion(payload: dict) -> dict:
 
 
 def _handle_pair(payload: dict) -> dict:
-    dim = _as_int(_need(payload, "dim", "$.payload"), "$.payload.dim")
+    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
     a = _square(payload, "a", dim, "$.payload")
     b = _square(payload, "b", dim, "$.payload")
     if not a.commutator_with(b).is_zero():
@@ -172,7 +181,7 @@ def _handle_pair(payload: dict) -> dict:
 
 
 def _handle_quad(payload: dict) -> dict:
-    dim = _as_int(_need(payload, "dim", "$.payload"), "$.payload.dim")
+    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
     q = KoszulQuadruple(*(_square(payload, key, dim, "$.payload")
                           for key in ("a", "b", "c", "d")))
     report = joint_torsion_quad(q)
@@ -233,9 +242,7 @@ def run_request(request: dict) -> dict:
     if cmd not in _COMMANDS:
         raise SchemaError(f"$.cmd: unknown command {cmd!r}")
     payload = _as_dict(request.get("payload", {}), "$.payload")
-    seed = request.get("seed", 0)
-    if seed is not None:
-        seed = _as_int(seed, "$.seed")
+    seed = _as_int(request.get("seed", 0), "$.seed")
     if cmd == "torsion":
         return _handle_torsion(payload)
     if cmd == "joint_torsion_pair":
@@ -290,6 +297,9 @@ def main(argv=None) -> int:
     except (DomainError, ZeroDivisionError) as exc:
         _emit({"error": str(exc)})
         return 2
+    except Exception as exc:
+        _emit({"error": f"{type(exc).__name__}: {exc}"})
+        return 4
     if isinstance(request, dict) and request.get("timing") is True:
         response["timing_ms"] = int((time.monotonic() - started) * 1000)
     _emit(response)

@@ -203,10 +203,6 @@ class TorsionScalar:
             raise DomainError("torsion scalar must be nonzero")
 
 
-def _default_selection(d: ExactMatrix):
-    return list(d.rref().pivots)
-
-
 def torsion_scalar(seq: BasedExactSequence, selector=None) -> TorsionScalar:
     """Torsion of a based exact sequence, per the conventions above.
 
@@ -221,7 +217,7 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> TorsionScalar:
     for k in range(n + 2):
         d = cpx.differential(k)
         if selector is None or k == 0 or k == n + 1:
-            selections[k] = _default_selection(d)
+            selections[k] = list(d.rref().pivots)
         else:
             chosen = list(selector(k, d))
             sub = d.select_columns(chosen)
@@ -245,15 +241,6 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> TorsionScalar:
         starred = (n - k) % 2 == 0
         value = value * (c.inverse() if starred else c)
     return TorsionScalar(value, seq.fingerprint())
-
-
-def rebase(seq: BasedExactSequence, new_bases) -> BasedExactSequence:
-    """Same complex, new bases (given top-down as invertible matrices).
-
-    The torsion transforms by the product of det(g_k)^(-s_k) where g_k is
-    the change of basis at position k and s_k its signed exponent.
-    """
-    return BasedExactSequence(seq.complex, new_bases)
 
 
 def interleave_sign(first: BasedExactSequence, second: BasedExactSequence) -> int:

@@ -54,9 +54,8 @@ from itertools import combinations
 
 from .complexes import BasedExactSequence, ChainComplexSpec, TorsionScalar, torsion_scalar
 from .errors import DomainError
-from .linalg import (ExactMatrix, Subquotient, build_subquotient,
-                     cokernel_subquotient, induced_map, kernel_subquotient,
-                     solve_columns)
+from .linalg import (ExactMatrix, Subquotient, cokernel_subquotient,
+                     induced_map, kernel_subquotient, solve_columns)
 from .scalars import QiScalar
 
 
@@ -152,7 +151,7 @@ class QuadHomology:
     """
 
     def __init__(self, q: KoszulQuadruple, rebasing=None):
-        h = q.dim
+        cpx = build_quad_complex(q)
         self.quad = q
         sq = {
             "ker_A": kernel_subquotient(q.a),
@@ -163,13 +162,9 @@ class QuadHomology:
             "coker_C": cokernel_subquotient(q.c),
             "ker_D": kernel_subquotient(q.d),
             "coker_D": cokernel_subquotient(q.d),
-            "ker_B_cap_ker_D": kernel_subquotient(q.b.vstack(q.d)),
-            "H1": build_subquotient(
-                2 * h,
-                q.a.hstack(q.c).kernel_basis(),
-                (-q.b).vstack(q.d).image_basis()),
-            "H0": build_subquotient(
-                h, ExactMatrix.identity(h), q.a.hstack(q.c).image_basis()),
+            "ker_B_cap_ker_D": cpx.homology(2),
+            "H1": cpx.homology(1),
+            "H0": cpx.homology(0),
         }
         if rebasing:
             for label, g in rebasing.items():
@@ -228,7 +223,7 @@ def _four_term_sequence(op: ExactMatrix, ker_sq: Subquotient,
     h = op.rows
     return _as_based_sequence(
         [ker_sq.dim, h, h, coker_sq.dim],
-        [ker_sq.lift_map, op, coker_sq.project_map])
+        [ker_sq.rep_basis, op, coker_sq.project_map])
 
 
 def kappa(op: ExactMatrix) -> int:

@@ -14,9 +14,10 @@ transform and determinant equals the one plain elimination gives.
 
 Subquotients (kernels, cokernels, homology spaces) are represented by
 explicit matrices: a cycle basis, a boundary basis, a representative basis
-whose classes span the quotient, and lift/project maps realizing the section
-and the projection.  Induced maps on subquotients are then ordinary matrix
-products, with well-definedness checked exactly.
+whose classes form a basis of the quotient, and a projection onto
+coordinates in that basis.  One elimination builds all of them.  Induced
+maps on subquotients are then ordinary matrix products, with
+well-definedness checked exactly.
 """
 
 from __future__ import annotations
@@ -490,17 +491,6 @@ class RrefResult:
         return ExactMatrix(len(self._rows), width, entries)
 
 
-def rref_decompose(m: ExactMatrix):
-    """(rref, pivots, rank, transform) with transform * m = rref."""
-    res = m.rref()
-    return res.rref, list(res.pivots), res.rank, res.transform
-
-
-def subspace_bases(m: ExactMatrix):
-    """(kernel basis, image basis), both as matrices of columns."""
-    return m.kernel_basis(), m.image_basis()
-
-
 def solve_columns(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     """Solve basis * X = vectors where basis has full column rank.
 
@@ -528,74 +518,61 @@ class Subquotient:
     """A based subquotient Z/B of an ambient coordinate space.
 
     ``rep_basis`` columns are ambient vectors whose classes form the chosen
-    basis of the quotient; ``lift_map`` is the section (quotient coordinates
-    to ambient) and ``project_map`` the left inverse killing boundaries and a
-    fixed complement of the cycle space.
+    basis of the quotient; ``project_map`` is a left inverse of
+    ``rep_basis`` that kills the boundaries and a fixed complement of the
+    cycle space, so it maps a cycle to the coordinates of its class.
     """
 
     __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "rep_basis",
-                 "lift_map", "project_map")
+                 "project_map")
 
     def __init__(self, ambient_dim, cycle_basis, boundary_basis, rep_basis,
-                 lift_map, project_map):
+                 project_map):
         self.ambient_dim = ambient_dim
         self.cycle_basis = cycle_basis
         self.boundary_basis = boundary_basis
         self.rep_basis = rep_basis
-        self.lift_map = lift_map
         self.project_map = project_map
 
     @property
     def dim(self) -> int:
         return self.rep_basis.cols
 
-    def project(self, vectors: ExactMatrix) -> ExactMatrix:
-        return self.project_map * vectors
-
     def with_rep_transform(self, g: ExactMatrix) -> "Subquotient":
         """Recombine the representative basis by an invertible matrix g."""
         if g.rows != self.dim or g.cols != self.dim:
             raise DomainError("rebase shape mismatch")
-        g_inv = g.inverse()
-        rep = self.rep_basis * g
         return Subquotient(self.ambient_dim, self.cycle_basis,
-                           self.boundary_basis, rep,
-                           rep, g_inv * self.project_map)
+                           self.boundary_basis, self.rep_basis * g,
+                           g.inverse() * self.project_map)
 
 
 def build_subquotient(ambient_dim: int, cycles: ExactMatrix,
                       boundaries: ExactMatrix) -> Subquotient:
     """Construct the based subquotient span(cycles)/span(boundaries).
 
-    The representative basis extends the rref pivot basis of the boundaries
-    to one of the cycles, so it is deterministic in the inputs.
+    One elimination of [bnd | cycles | I], with bnd the pivot basis of the
+    boundaries, gives everything: its pivots in the cycles block pick the
+    representative columns, which extend bnd to a basis of the cycle space,
+    and its pivots in the identity block a standard complement.  The pivot
+    columns form an ambient basis whose inverse is the recorded transform;
+    the projection is the transform's rows at the representative pivots,
+    so it reads off representative coordinates and kills both the
+    boundaries and the complement.
     """
     if cycles.rows != ambient_dim or boundaries.rows != ambient_dim:
         raise DomainError("ambient dimension mismatch")
     if not in_span(cycles, boundaries):
         raise DomainError("not a subquotient")
     bnd = boundaries.image_basis()
-    candidates = bnd.hstack(cycles)
-    pivots = candidates.rref().pivots
-    rep_cols = [p for p in pivots if p >= bnd.cols]
-    rep = candidates.select_columns(rep_cols)
-    # Extend boundary + representative columns to an ambient basis with
-    # standard vectors; the projection reads off rep coordinates and kills
-    # both the boundaries and the chosen standard complement.
-    full = bnd.hstack(rep).hstack(ExactMatrix.identity(ambient_dim))
-    fpivots = full.rref().pivots
-    basis = full.select_columns(fpivots)
-    if basis.cols != ambient_dim:
-        raise RuntimeError("internal: basis extension failed")
-    inv = basis.inverse()
-    proj_rows = []
-    for j, p in enumerate(fpivots):
-        if bnd.cols <= p < bnd.cols + rep.cols:
-            proj_rows.append(j)
-    project = ExactMatrix(len(proj_rows), ambient_dim,
-                          [inv[i, j] for i in proj_rows
-                           for j in range(ambient_dim)])
-    return Subquotient(ambient_dim, cycles, boundaries, rep, rep, project)
+    res = bnd.hstack(cycles).hstack(ExactMatrix.identity(ambient_dim)).rref()
+    start, stop = bnd.cols, bnd.cols + cycles.cols
+    rows = [j for j, p in enumerate(res.pivots) if start <= p < stop]
+    rep = cycles.select_columns(res.pivots[j] - start for j in rows)
+    inv = res.transform
+    project = ExactMatrix(len(rows), ambient_dim,
+                          [inv[i, j] for i in rows for j in range(ambient_dim)])
+    return Subquotient(ambient_dim, cycles, boundaries, rep, project)
 
 
 def kernel_subquotient(m: ExactMatrix) -> Subquotient:
@@ -622,4 +599,4 @@ def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatr
         raise DomainError("map does not descend")
     if not in_span(dst.boundary_basis, m * src.boundary_basis):
         raise DomainError("map does not descend")
-    return dst.project_map * (m * src.lift_map)
+    return dst.project_map * (m * src.rep_basis)

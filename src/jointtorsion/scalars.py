@@ -6,12 +6,15 @@ represented uniquely as 0/1.  Equality is therefore structural equality of
 the four integers, and scalars are hashable and safe to share.
 
 The textual form is ``p/q+r/s*i`` with parts omitted when zero, e.g. ``3``,
-``-1/2*i``, ``1/2-2/3*i``.  ``parse`` accepts everything ``to_text`` emits
-(plus bare ``i`` / ``-i``) and round-trips exactly.
+``-1/2*i``, ``1/2-2/3*i``.  ``parse`` accepts everything ``to_text`` emits,
+plus ``i``, ``-i`` and ``2i``-style coefficients without ``*``, and
+round-trips exactly.  Its grammar is strict: ASCII digits, no whitespace,
+no leading ``+``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -32,6 +35,7 @@ def _norm(num: int, den: int) -> tuple[int, int]:
 
 
 def _as_pair(value) -> tuple[int, int]:
+    """A normalized rational pair from an int, a Fraction or (num, den)."""
     if isinstance(value, int):
         return value, 1
     if isinstance(value, Fraction):
@@ -49,8 +53,6 @@ class QiScalar:
     def __init__(self, re=0, im=0):
         rn, rd = _as_pair(re)
         im_n, im_d = _as_pair(im)
-        rn, rd = _norm(rn, rd)
-        im_n, im_d = _norm(im_n, im_d)
         self.re_num = rn
         self.re_den = rd
         self.im_num = im_n
@@ -215,13 +217,15 @@ class QiScalar:
 
     @classmethod
     def parse(cls, text: str) -> "QiScalar":
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar text")
-        real_part, imag_part = _split_parts(s)
-        re = _parse_rat(real_part) if real_part else (0, 1)
-        im = _parse_imag(imag_part) if imag_part else (0, 1)
-        return cls(re, im)
+        m = _SCALAR_TEXT.fullmatch(text)
+        if m is None:
+            raise ValueError(f"bad scalar text {text!r}")
+        real = _rat_pair(m["re"]) if m["re"] else (0, 1)
+        imag = (0, 1)
+        if m["imag"] is not None:
+            num, den = _rat_pair(m["im"]) if m["im"] else (1, 1)
+            imag = (-num if m["sign"] == "-" else num, den)
+        return cls(real, imag)
 
     def __repr__(self):
         return f"QiScalar({self.to_text()!r})"
@@ -247,38 +251,18 @@ def _rat_text(num: int, den: int) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def _split_parts(s: str) -> tuple[str, str]:
-    """Split canonical text into (real, imaginary-with-i) pieces."""
-    if not s.endswith("i"):
-        return s, ""
-    # the sign separating real from imaginary part is the last +/- beyond index 0
-    split_at = -1
-    for idx in range(1, len(s)):
-        if s[idx] in "+-":
-            split_at = idx
-    if split_at <= 0:
-        return "", s
-    return s[:split_at], s[split_at:]
+# The whole grammar, ASCII digits only: a real part p or p/q, an imaginary
+# part i, ri, r*i or r/s*i, or a real part followed by a signed imaginary
+# part.  The first part may carry a leading minus, never a plus.
+_SCALAR_TEXT = re.compile(
+    r"(?=.)(?P<re>-?[0-9]+(?:/[0-9]+)?)?"
+    r"(?P<imag>(?P<sign>(?(re)[+-]|-?))"
+    r"(?:(?P<im>[0-9]+(?:/[0-9]+)?)\*?)?i)?")
 
 
-def _parse_rat(token: str) -> tuple[int, int]:
-    if "/" in token:
-        num_text, den_text = token.split("/", 1)
-        return int(num_text), int(den_text)
-    return int(token), 1
-
-
-def _parse_imag(token: str) -> tuple[int, int]:
-    if not token.endswith("i"):
-        raise ValueError(f"bad imaginary part {token!r}")
-    body = token[:-1]
-    if body.endswith("*"):
-        body = body[:-1]
-    if body in ("", "+"):
-        return 1, 1
-    if body == "-":
-        return -1, 1
-    return _parse_rat(body)
+def _rat_pair(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
 
 
 ZERO = QiScalar._raw(0, 1, 0, 1)
@@ -289,19 +273,6 @@ I = QiScalar._raw(0, 1, 1, 1)
 def qi(re=0, im=0) -> QiScalar:
     """Shorthand constructor; accepts ints, Fractions, or (num, den) pairs."""
     return QiScalar(re, im)
-
-
-def qi_arith(x: QiScalar, y: QiScalar, op: str) -> QiScalar:
-    """Field arithmetic dispatcher: op is one of add|sub|mul|div."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def qi_modulus_cmp_one(x: QiScalar) -> str:

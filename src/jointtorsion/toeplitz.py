@@ -96,36 +96,22 @@ def companion_matrix(f: AnalyticSymbol) -> ExactMatrix:
     return ExactMatrix(d, d, ent)
 
 
-class CokernelModel:
-    """The finite model of coker T_f: the quotient ring C[z]/(f_in) in the
-    monomial basis 1, z, ..., z^(d-1), with multiplication matrices.
-
-    Defining identity: det(action of g) is the product of g over the inside
-    roots of f; actions for different multipliers commute.
-    """
-
-    __slots__ = ("symbol", "dim", "_z_action")
-
-    def __init__(self, f: AnalyticSymbol):
-        self.symbol = f
-        self.dim = f.winding
-        self._z_action = companion_matrix(f)
-
-    def action(self, g: AnalyticSymbol) -> ExactMatrix:
-        """Matrix of multiplication by the full polynomial g (leading
-        coefficient and outside roots included, via evaluation)."""
-        if self.dim == 0:
-            return ExactMatrix.zero(0, 0)
-        result = ExactMatrix.scalar_diag(self.dim, g.leading)
-        for root in g.roots:
-            result = result * (self._z_action
-                               - ExactMatrix.scalar_diag(self.dim, root))
-        return result
-
-
 def coker_action(f: AnalyticSymbol, g: AnalyticSymbol) -> ExactMatrix:
-    """Matrix of multiplication by the full polynomial g on C[z]/(f_in)."""
-    return CokernelModel(f).action(g)
+    """Matrix of multiplication by the full polynomial g (leading
+    coefficient and outside roots included) on C[z]/(f_in), the finite model
+    of coker T_f, in the monomial basis 1, z, ..., z^(d-1).
+
+    Its determinant is the product of g over the inside roots of f, and
+    actions of different multipliers commute.
+    """
+    d = f.winding
+    if d == 0:
+        return ExactMatrix.zero(0, 0)
+    z_action = companion_matrix(f)
+    result = ExactMatrix.scalar_diag(d, g.leading)
+    for root in g.roots:
+        result = result * (z_action - ExactMatrix.scalar_diag(d, root))
+    return result
 
 
 def _check_acyclic(f: AnalyticSymbol, g: AnalyticSymbol) -> None:

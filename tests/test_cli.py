@@ -1,11 +1,13 @@
 """CLI contract: JSON in/out, exit codes, determinism, and suites."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from jointtorsion import cli
 from jointtorsion.cli import SchemaError, run_request
 from jointtorsion.errors import DomainError
 from jointtorsion.suites import run_suite
@@ -259,3 +261,51 @@ def test_exact_request_does_not_load_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("text", ["\u0661", "1_0", "1 0"])
+def test_scalar_text_outside_ascii_grammar_exits_3(text):
+    req = {"cmd": "joint_torsion_quad",
+           "payload": {"dim": 1, "a": ["0"], "b": ["0"], "c": [text],
+                       "d": ["0"]}}
+    proc = invoke(req)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
+        "error": f"$.payload.c[0]: bad scalar text {text!r}"}
+
+
+@pytest.mark.parametrize("request_, path", [
+    ({"cmd": "torsion",
+      "payload": {"spaces": [-1, -1], "differentials": [["1"]]}},
+     "$.payload.spaces[0]"),
+    ({"cmd": "joint_torsion_quad",
+      "payload": {"dim": -1, "a": [], "b": [], "c": [], "d": []}},
+     "$.payload.dim"),
+    ({"cmd": "joint_torsion_pair", "payload": {"dim": -2, "a": [], "b": []}},
+     "$.payload.dim"),
+])
+def test_negative_dimension_exits_3(request_, path):
+    proc = invoke(request_)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
+        "error": f"{path}: expected a nonnegative integer"}
+
+
+def test_null_seed_exits_3():
+    req = {"cmd": "verify", "payload": {"suite": "steinberg", "count": 1},
+           "seed": None}
+    proc = invoke(req)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"error": "$.seed: expected an integer"}
+
+
+def test_internal_error_exits_4_with_json_body(monkeypatch, capsys):
+    def broken(payload):
+        raise RuntimeError("internal: synthetic failure")
+
+    monkeypatch.setattr(cli, "_handle_quad", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(ZERO_QUAD)))
+    assert cli.main([]) == 4
+    out = capsys.readouterr().out
+    assert json.loads(out) == {
+        "error": "RuntimeError: internal: synthetic failure"}

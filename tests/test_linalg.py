@@ -5,10 +5,10 @@ import pytest
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
                           build_subquotient, cokernel_subquotient,
-                          induced_map, kernel_subquotient, qi,
-                          rref_decompose, subspace_bases)
-from jointtorsion.randgen import (child_rng, random_matrix, random_qi,
-                                  random_singularized)
+                          induced_map, kernel_subquotient, qi)
+from jointtorsion.linalg import in_span
+from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
+                                  random_qi, random_singularized)
 from jointtorsion.scalars import ONE, ZERO
 
 
@@ -17,37 +17,39 @@ def mat(rows):
 
 
 def test_rref_rank_one():
-    rref, pivots, rank, transform = rref_decompose(mat([[1, 2], [2, 4]]))
-    assert rank == 1
-    assert pivots == [0]
-    assert transform * mat([[1, 2], [2, 4]]) == rref
+    res = mat([[1, 2], [2, 4]]).rref()
+    assert res.rank == 1
+    assert res.pivots == (0,)
+    assert res.transform * mat([[1, 2], [2, 4]]) == res.rref
 
 
 def test_rref_identity():
-    _, pivots, rank, _ = rref_decompose(ExactMatrix.identity(3))
-    assert rank == 3
-    assert pivots == [0, 1, 2]
+    res = ExactMatrix.identity(3).rref()
+    assert res.rank == 3
+    assert res.pivots == (0, 1, 2)
 
 
 def test_rref_shifted_pivot():
-    _, pivots, rank, _ = rref_decompose(mat([[0, 1], [0, 0]]))
-    assert rank == 1
-    assert pivots == [1]
+    res = mat([[0, 1], [0, 0]]).rref()
+    assert res.rank == 1
+    assert res.pivots == (1,)
 
 
 def test_subspace_bases_rank_one():
     m = mat([[1, 2], [2, 4]])
-    kernel, image = subspace_bases(m)
+    kernel, image = m.kernel_basis(), m.image_basis()
     assert kernel.columns() == [(qi(-2), qi(1))]
     assert image.columns() == [(qi(1), qi(2))]
     assert (m * kernel).is_zero()
 
 
 def test_subspace_bases_identity_and_zero():
-    kernel, image = subspace_bases(ExactMatrix.identity(2))
+    ident = ExactMatrix.identity(2)
+    kernel, image = ident.kernel_basis(), ident.image_basis()
     assert kernel.cols == 0
     assert image == ExactMatrix.identity(2)
-    kernel, image = subspace_bases(ExactMatrix.zero(2, 2))
+    zero = ExactMatrix.zero(2, 2)
+    kernel, image = zero.kernel_basis(), zero.image_basis()
     assert kernel == ExactMatrix.identity(2)
     assert image.cols == 0
 
@@ -56,7 +58,7 @@ def test_kernel_image_ranks_on_randoms():
     rng = child_rng(5, 0)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), mag=3)
-        kernel, image = subspace_bases(m)
+        kernel, image = m.kernel_basis(), m.image_basis()
         assert (m * kernel).is_zero()
         assert kernel.cols + image.cols == m.cols
         assert image.rank() == image.cols
@@ -138,7 +140,7 @@ def test_subquotient_projection_section_identity():
         n = rng.randint(1, 5)
         m = random_singularized(rng, n, mag=3)
         sq = cokernel_subquotient(m)
-        assert sq.project_map * sq.lift_map == ExactMatrix.identity(sq.dim)
+        assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
         assert (sq.project_map * sq.boundary_basis).is_zero()
 
 
@@ -310,3 +312,92 @@ def test_kernel_matches_reference_with_large_entries():
            for _ in range(5 * 6)]
     assert_matches_reference(ExactMatrix(5, 6, ent))
     assert_matches_reference(ExactMatrix(5, 5, ent[:25]))
+
+
+# -- differential test of the one-elimination subquotient ---------------------
+
+def reference_subquotient(ambient_dim, cycles, boundaries):
+    """The three-elimination construction: extend the boundary pivot basis
+    by cycle columns, extend that by standard vectors to an ambient basis,
+    invert the basis.  Returns (rep_basis, project_map)."""
+    if not in_span(cycles, boundaries):
+        raise DomainError("not a subquotient")
+    bnd = boundaries.image_basis()
+    candidates = bnd.hstack(cycles)
+    pivots = candidates.rref().pivots
+    rep = candidates.select_columns([p for p in pivots if p >= bnd.cols])
+    full = bnd.hstack(rep).hstack(ExactMatrix.identity(ambient_dim))
+    fpivots = full.rref().pivots
+    inv = full.select_columns(fpivots).inverse()
+    rows = [j for j, p in enumerate(fpivots)
+            if bnd.cols <= p < bnd.cols + rep.cols]
+    project = ExactMatrix(len(rows), ambient_dim,
+                          [inv[i, j] for i in rows for j in range(ambient_dim)])
+    return rep, project
+
+
+def assert_subquotient_matches_reference(n, cycles, boundaries):
+    sq = build_subquotient(n, cycles, boundaries)
+    rep, project = reference_subquotient(n, cycles, boundaries)
+    assert sq.rep_basis == rep
+    assert sq.project_map == project
+    assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
+    assert (sq.project_map * boundaries).is_zero()
+
+
+def random_cycles(rng, n, count):
+    """count columns in C^n, some of them zero, repeated or combinations of
+    earlier ones, so the cycle columns are often dependent."""
+    cols = []
+    for _ in range(count):
+        roll = rng.random()
+        if cols and roll < 0.2:
+            cols.append(rng.choice(cols))
+        elif len(cols) > 1 and roll < 0.4:
+            u, v = rng.sample(cols, 2)
+            s, t = random_qi(rng, 2), random_qi(rng, 2)
+            cols.append(tuple(s * a + t * b for a, b in zip(u, v)))
+        elif roll < 0.5:
+            cols.append((ZERO,) * n)
+        else:
+            cols.append(tuple(random_qi(rng, 3) for _ in range(n)))
+    return ExactMatrix.from_columns(n, cols)
+
+
+def test_subquotient_matches_reference_on_seeded_pairs():
+    rng = child_rng(23, 0)
+    for n in range(7):
+        for _ in range(8):
+            cycles = random_cycles(rng, n, rng.randint(0, n + 2))
+            # boundaries: combinations of the cycles, dependent ones included
+            mix = random_matrix(rng, cycles.cols, rng.randint(0, n + 1),
+                                mag=2, imag_prob=0.3)
+            if rng.random() < 0.3:
+                mix = rank_deficient(rng, mix)
+            assert_subquotient_matches_reference(n, cycles, cycles * mix)
+
+
+def test_subquotient_matches_reference_on_edge_blocks():
+    rng = child_rng(23, 1)
+    for n in range(5):
+        cycles = random_cycles(rng, n, n + 1)
+        empty = ExactMatrix.zero(n, 0)
+        assert_subquotient_matches_reference(n, cycles, cycles)
+        assert_subquotient_matches_reference(n, cycles, empty)
+        assert_subquotient_matches_reference(n, empty, empty)
+        assert_subquotient_matches_reference(n, ExactMatrix.identity(n),
+                                             cycles)
+        assert_subquotient_matches_reference(n, ExactMatrix.zero(n, 2),
+                                             ExactMatrix.zero(n, 3))
+        assert build_subquotient(n, cycles, cycles).dim == 0
+
+
+def test_subquotient_rejects_non_contained_pair_like_reference():
+    rng = child_rng(23, 2)
+    for n in range(2, 6):
+        basis = random_invertible(rng, n, mag=3)
+        cycles = basis.select_columns(range(n - 1))
+        boundaries = basis.select_columns([n - 1])
+        for build in (build_subquotient, reference_subquotient):
+            with pytest.raises(DomainError, match="not a subquotient"):
+                build(n, cycles, boundaries)

@@ -3,31 +3,33 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from jointtorsion import QiScalar, qi, qi_arith, qi_modulus_cmp_one
+from jointtorsion import QiScalar, qi, qi_modulus_cmp_one
 from jointtorsion.randgen import child_rng, random_qi
 
 
 def test_rational_addition():
-    assert qi_arith(qi((1, 2)), qi((1, 3)), "add") == qi((5, 6))
+    assert qi((1, 2)) + qi((1, 3)) == qi((5, 6))
 
 
 def test_conjugate_product():
     x = qi(1, 1)
     y = qi(1, -1)
-    assert qi_arith(x, y, "mul") == qi(2)
+    assert x * y == qi(2)
 
 
 def test_division_by_imaginary():
     # 1 / (2i) = -i/2; oracle: multiply back and recover 1.
-    inv = qi_arith(qi(1), qi(0, 2), "div")
+    inv = qi(1) / qi(0, 2)
     assert inv == qi(0, (-1, 2))
     assert inv * qi(0, 2) == qi(1)
 
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        qi_arith(qi(3), qi(0), "div")
+        qi(3) / qi(0)
 
 
 def test_modulus_comparison_cases():
@@ -70,6 +72,39 @@ def test_text_round_trip_fixed_forms():
     for text in ["0", "3", "-1/2*i", "1/2+1/3*i", "-2-5/7*i", "i", "-i", "1*i"]:
         parsed = QiScalar.parse(text)
         assert QiScalar.parse(parsed.to_text()) == parsed
+
+
+@given(st.fractions(), st.fractions())
+def test_parse_inverts_to_text(re, im):
+    x = QiScalar(re, im)
+    assert QiScalar.parse(x.to_text()) == x
+
+
+def test_parse_accepts_short_imaginary_forms():
+    assert QiScalar.parse("i") == qi(0, 1)
+    assert QiScalar.parse("-i") == qi(0, -1)
+    assert QiScalar.parse("2i") == qi(0, 2)
+    assert QiScalar.parse("3-i") == qi(3, -1)
+    assert QiScalar.parse("-1/2+3/4i") == qi((-1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("text", ["", "\u0661", "1_0", "1 0", " 1", "1\n",
+                                  "+3", "+i", "*i", "3i+1", "1+2", "i3",
+                                  "--1", "1/", "/2", "3+-i", "\uff11",
+                                  "0x1f", "1e3", "1.5"])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="bad scalar text"):
+        QiScalar.parse(text)
+
+
+@given(st.text(alphabet="0123456789/+-*i _\u0661", max_size=8))
+def test_parse_accepts_only_ascii_grammar_text(text):
+    try:
+        x = QiScalar.parse(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert set(text) <= set("0123456789/+-*i")
+    assert QiScalar.parse(x.to_text()) == x
 
 
 def test_text_round_trip_random():
