@@ -55,7 +55,7 @@ from itertools import combinations
 from .complexes import BasedExactSequence, ChainComplexSpec, TorsionScalar, torsion_scalar
 from .errors import DomainError
 from .linalg import (ExactMatrix, Subquotient, cokernel_subquotient,
-                     induced_map, kernel_subquotient, solve_columns)
+                     induced_map, kernel_subquotient)
 from .scalars import QiScalar
 
 
@@ -117,25 +117,30 @@ def build_koszul(t: CommutingTuple) -> ChainComplexSpec:
 
 
 class KoszulQuadruple:
-    """Operators A, B, C, D on a common space with AB = CD exactly."""
+    """Operators A, B, C, D on a common space with AB = CD exactly.
+
+    ``complex`` is the three-term complex H -> H^2 -> H with d2 = (-B; D)
+    and d1 = (A, C).  Its composition d1 d2 is CD - AB, so building it is
+    the check that AB = CD.
+    """
 
     def __init__(self, a, b, c, d):
         h = a.rows
         for m in (a, b, c, d):
             if m.rows != h or m.cols != h:
                 raise DomainError("operators must be square on a common space")
-        if a * b != c * d:
-            raise DomainError("AB != CD")
+        try:
+            self.complex = ChainComplexSpec([h, 2 * h, h],
+                                            [(-b).vstack(d), a.hstack(c)])
+        except DomainError as exc:
+            raise DomainError("AB != CD") from exc
         self.a, self.b, self.c, self.d = a, b, c, d
         self.dim = h
 
 
 def build_quad_complex(q: KoszulQuadruple) -> ChainComplexSpec:
     """Three-term complex H -> H^2 -> H with d2 = (-B; D), d1 = (A, C)."""
-    h = q.dim
-    d2 = (-q.b).vstack(q.d)
-    d1 = q.a.hstack(q.c)
-    return ChainComplexSpec([h, 2 * h, h], [d2, d1])
+    return q.complex
 
 
 _SPACE_LABELS = ("ker_A", "coker_A", "ker_B", "coker_B", "ker_C", "coker_C",
@@ -151,7 +156,6 @@ class QuadHomology:
     """
 
     def __init__(self, q: KoszulQuadruple, rebasing=None):
-        cpx = build_quad_complex(q)
         self.quad = q
         sq = {
             "ker_A": kernel_subquotient(q.a),
@@ -162,9 +166,9 @@ class QuadHomology:
             "coker_C": cokernel_subquotient(q.c),
             "ker_D": kernel_subquotient(q.d),
             "coker_D": cokernel_subquotient(q.d),
-            "ker_B_cap_ker_D": cpx.homology(2),
-            "H1": cpx.homology(1),
-            "H0": cpx.homology(0),
+            "ker_B_cap_ker_D": q.complex.homology(2),
+            "H1": q.complex.homology(1),
+            "H0": q.complex.homology(0),
         }
         if rebasing:
             for label, g in rebasing.items():
@@ -439,15 +443,6 @@ def det_commutator(a: ExactMatrix, b: ExactMatrix) -> QiScalar:
     return (a * b * a.inverse() * b.inverse()).determinant()
 
 
-def _iso_det_between_kernels(op, src_sq: Subquotient, dst_sq: Subquotient) -> QiScalar:
-    image = op * src_sq.rep_basis
-    return solve_columns(dst_sq.rep_basis, image).determinant()
-
-
-def _iso_det_between_cokernels(op, src_sq: Subquotient, dst_sq: Subquotient) -> QiScalar:
-    return (dst_sq.project_map * (op * src_sq.rep_basis)).determinant()
-
-
 FACTORIZATION_SELECTORS = ("sigma-conjugate", "sigma-right-shift",
                            "sigma-det-class", "quad-conjugate", "quad-slide")
 
@@ -481,26 +476,26 @@ def factorization_identities(q: KoszulQuadruple, u: ExactMatrix, which: str):
     if which == "sigma-conjugate":
         d2 = u_inv * d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = _iso_det_between_kernels(
-            u_inv, kernel_subquotient(d), kernel_subquotient(d2))
-        t_coker = _iso_det_between_cokernels(
-            u_inv, cokernel_subquotient(d), cokernel_subquotient(d2))
+        t_ker = induced_map(u_inv, kernel_subquotient(d),
+                            kernel_subquotient(d2)).determinant()
+        t_coker = induced_map(u_inv, cokernel_subquotient(d),
+                              cokernel_subquotient(d2)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker * t_coker.inverse()
         return lhs, rhs
     if which == "sigma-right-shift":
         a2, d2 = a * u, d * u
         lhs = perturbation_sigma(a2, d2)
-        t_ker_a = _iso_det_between_kernels(
-            u_inv, kernel_subquotient(a), kernel_subquotient(a2))
-        t_ker_d = _iso_det_between_kernels(
-            u_inv, kernel_subquotient(d), kernel_subquotient(d2))
+        t_ker_a = induced_map(u_inv, kernel_subquotient(a),
+                              kernel_subquotient(a2)).determinant()
+        t_ker_d = induced_map(u_inv, kernel_subquotient(d),
+                              kernel_subquotient(d2)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker_a.inverse() * t_ker_d
         return lhs, rhs
     if which == "sigma-det-class":
         d2 = d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = _iso_det_between_kernels(
-            u_inv, kernel_subquotient(d), kernel_subquotient(d2))
+        t_ker = induced_map(u_inv, kernel_subquotient(d),
+                            kernel_subquotient(d2)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker * u.determinant()
         return lhs, rhs
     if which == "quad-conjugate":

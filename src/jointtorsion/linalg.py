@@ -14,10 +14,11 @@ transform and determinant equals the one plain elimination gives.
 
 Subquotients (kernels, cokernels, homology spaces) are represented by
 explicit matrices: a cycle basis, a boundary basis, a representative basis
-whose classes form a basis of the quotient, and a projection onto
-coordinates in that basis.  One elimination builds all of them.  Induced
-maps on subquotients are then ordinary matrix products, with
-well-definedness checked exactly.
+whose classes form a basis of the quotient, a projection onto coordinates
+in that basis, and a complement map whose kernel is the cycle space.  One
+elimination builds all of them.  Induced maps on subquotients are then
+ordinary matrix products, and whether a map descends is checked exactly by
+products with the projection and the complement map, without eliminating.
 """
 
 from __future__ import annotations
@@ -319,11 +320,6 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix(n, m, out)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           [self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)])
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise DomainError("hstack row mismatch")
@@ -420,20 +416,14 @@ class ExactMatrix:
         first ``rank`` rows of the recorded transform give a left inverse of
         C, so X = R_right * C_left satisfies m X m = m and X m X = X.  No
         inner product is involved; this is not a metric pseudoinverse.
+        R_right selects, so X is C_left's row j placed at row pivots[j].
         """
         res = self.rref()
-        r = res.rank
-        if r == 0:
-            return ExactMatrix.zero(self.cols, self.rows)
-        right = ExactMatrix.zero(self.cols, r)
-        ent = list(right.entries)
+        n = self.rows
+        ent = [ZERO] * (self.cols * n)
         for j, pcol in enumerate(res.pivots):
-            ent[pcol * r + j] = ONE
-        right = ExactMatrix(self.cols, r, ent)
-        left = ExactMatrix(r, self.rows,
-                           [res.transform[i, j] for i in range(r)
-                            for j in range(self.rows)])
-        return right * left
+            ent[pcol * n:(pcol + 1) * n] = res.transform.row(j)
+        return ExactMatrix(self.cols, n, ent)
 
     def commutator_with(self, other: "ExactMatrix") -> "ExactMatrix":
         return self * other - other * self
@@ -465,46 +455,33 @@ class RrefResult:
     @property
     def rref(self) -> ExactMatrix:
         if self._rref is None:
-            self._rref = self._block(0, self._cols)
+            self._rref = _block(self._rows, self._slots, self._last,
+                                self.rank, 0, self._cols)
         return self._rref
 
     @property
     def transform(self) -> ExactMatrix:
         if self._transform is None:
-            self._transform = self._block(self._cols, len(self._rows))
+            self._transform = _block(self._rows, self._slots, self._last,
+                                     self.rank, self._cols, len(self._rows))
         return self._transform
 
-    def _block(self, start: int, width: int) -> ExactMatrix:
-        """Columns start .. start+width-1 of the eliminated rows as
-        canonical scalars.  Pivot rows are last-pivot multiples of their
-        final values; rows past the rank were never normalised and also
-        carry their clearing factor."""
-        pr, pi = self._last
-        unpack = self._slots.unpack
-        entries = []
-        for k, (re, im, den) in enumerate(self._rows):
-            re, im = unpack(re, start, width), unpack(im, start, width)
-            if k < self.rank:
-                entries += _quotients(re, im, pr, pi)
-            else:
-                entries += _quotients(re, im, pr * den, pi * den)
-        return ExactMatrix(len(self._rows), width, entries)
 
-
-def solve_columns(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
-    """Solve basis * X = vectors where basis has full column rank.
-
-    Raises DomainError if any column of ``vectors`` is outside the span.
-    """
-    stacked = basis.hstack(vectors)
-    res = stacked.rref()
-    if any(p >= basis.cols for p in res.pivots):
-        raise DomainError("vector outside span of basis")
-    if res.rank != basis.cols:
-        raise DomainError("basis columns are dependent")
-    ent = [res.rref[i, basis.cols + j] for i in range(basis.cols)
-           for j in range(vectors.cols)]
-    return ExactMatrix(basis.cols, vectors.cols, ent)
+def _block(rows, slots, last, rank, start, width) -> ExactMatrix:
+    """Columns start .. start+width-1 of rows eliminated by _fraction_free,
+    as canonical scalars.  The first ``rank`` rows are pivot rows, which
+    are ``last``-pivot multiples of their final values; rows past the rank
+    were never normalised and also carry their clearing factor."""
+    pr, pi = last
+    unpack = slots.unpack
+    entries = []
+    for k, (re, im, den) in enumerate(rows):
+        re, im = unpack(re, start, width), unpack(im, start, width)
+        if k < rank:
+            entries += _quotients(re, im, pr, pi)
+        else:
+            entries += _quotients(re, im, pr * den, pi * den)
+    return ExactMatrix(len(rows), width, entries)
 
 
 def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
@@ -521,58 +498,73 @@ class Subquotient:
     basis of the quotient; ``project_map`` is a left inverse of
     ``rep_basis`` that kills the boundaries and a fixed complement of the
     cycle space, so it maps a cycle to the coordinates of its class.
+    ``complement_map`` reads the coordinates along that complement: its
+    kernel is exactly the cycle space, and stacked under ``project_map`` its
+    kernel is exactly the boundary space.  So whether a map descends to a
+    subquotient is decided by products with these two maps.
     """
 
     __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "rep_basis",
-                 "project_map")
+                 "project_map", "complement_map")
 
     def __init__(self, ambient_dim, cycle_basis, boundary_basis, rep_basis,
-                 project_map):
+                 project_map, complement_map):
         self.ambient_dim = ambient_dim
         self.cycle_basis = cycle_basis
         self.boundary_basis = boundary_basis
         self.rep_basis = rep_basis
         self.project_map = project_map
+        self.complement_map = complement_map
 
     @property
     def dim(self) -> int:
         return self.rep_basis.cols
 
     def with_rep_transform(self, g: ExactMatrix) -> "Subquotient":
-        """Recombine the representative basis by an invertible matrix g."""
+        """Recombine the representative basis by an invertible matrix g.
+
+        Both spans stay, and so does the complement map."""
         if g.rows != self.dim or g.cols != self.dim:
             raise DomainError("rebase shape mismatch")
         return Subquotient(self.ambient_dim, self.cycle_basis,
                            self.boundary_basis, self.rep_basis * g,
-                           g.inverse() * self.project_map)
+                           g.inverse() * self.project_map,
+                           self.complement_map)
 
 
 def build_subquotient(ambient_dim: int, cycles: ExactMatrix,
                       boundaries: ExactMatrix) -> Subquotient:
     """Construct the based subquotient span(cycles)/span(boundaries).
 
-    One elimination of [bnd | cycles | I], with bnd the pivot basis of the
-    boundaries, gives everything: its pivots in the cycles block pick the
-    representative columns, which extend bnd to a basis of the cycle space,
-    and its pivots in the identity block a standard complement.  The pivot
-    columns form an ambient basis whose inverse is the recorded transform;
-    the projection is the transform's rows at the representative pivots,
-    so it reads off representative coordinates and kills both the
-    boundaries and the complement.
+    One elimination of [boundaries | cycles | I] gives everything.  Under
+    the leftmost-pivot rule its pivots in the boundaries block are the
+    boundaries' pivot columns, those in the cycles block pick the
+    representative columns, which extend them to a basis of the span of
+    both blocks, and those in the identity block a standard complement.
+    The matrix has full row rank, so its reduced identity block is the
+    inverse T of the pivot-column basis.  The projection is T's rows at the
+    representative pivots and the complement map T's rows at the complement
+    pivots.  The same elimination gives rank [boundaries | cycles]; the
+    boundaries lie in the span of the cycles exactly when that equals the
+    rank of the cycles, which is always so when every boundary is zero.
     """
-    if cycles.rows != ambient_dim or boundaries.rows != ambient_dim:
+    n = ambient_dim
+    if cycles.rows != n or boundaries.rows != n:
         raise DomainError("ambient dimension mismatch")
-    if not in_span(cycles, boundaries):
+    nb, nc = boundaries.cols, cycles.cols
+    stacked = boundaries.hstack(cycles).hstack(ExactMatrix.identity(n))
+    rows, slots = _cleared_rows(stacked, augment=False)
+    pivots, last, _ = _fraction_free(rows, slots, stacked.cols, jordan=True)
+    nbp = sum(p < nb for p in pivots)
+    reps = [p - nb for p in pivots if nb <= p < nb + nc]
+    if nbp and nbp + len(reps) != cycles.rank():
         raise DomainError("not a subquotient")
-    bnd = boundaries.image_basis()
-    res = bnd.hstack(cycles).hstack(ExactMatrix.identity(ambient_dim)).rref()
-    start, stop = bnd.cols, bnd.cols + cycles.cols
-    rows = [j for j, p in enumerate(res.pivots) if start <= p < stop]
-    rep = cycles.select_columns(res.pivots[j] - start for j in rows)
-    inv = res.transform
-    project = ExactMatrix(len(rows), ambient_dim,
-                          [inv[i, j] for i in rows for j in range(ambient_dim)])
-    return Subquotient(ambient_dim, cycles, boundaries, rep, project)
+    # T's rows past the boundary pivots: representatives, then complement
+    tail = _block(rows[nbp:], slots, last, n - nbp, nb + nc, n).entries
+    split = len(reps) * n
+    return Subquotient(n, cycles, boundaries, cycles.select_columns(reps),
+                       ExactMatrix(len(reps), n, tail[:split]),
+                       ExactMatrix(n - nbp - len(reps), n, tail[split:]))
 
 
 def kernel_subquotient(m: ExactMatrix) -> Subquotient:
@@ -591,12 +583,17 @@ def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatr
     """Matrix of the map induced by m between two subquotients.
 
     Checked exactly: m must carry cycles into cycles and boundaries into
-    boundaries, otherwise the induced map does not exist.
+    boundaries, otherwise the induced map does not exist.  The source
+    cycles are spanned by its boundaries and representatives, so that holds
+    exactly when dst's complement map kills the images of both and dst's
+    projection kills the image of the boundaries.
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise DomainError("ambient shape mismatch")
-    if not in_span(dst.cycle_basis, m * src.cycle_basis):
+    image = m * src.rep_basis
+    moved = m * src.boundary_basis
+    if not ((dst.complement_map * image).is_zero()
+            and (dst.complement_map * moved).is_zero()
+            and (dst.project_map * moved).is_zero()):
         raise DomainError("map does not descend")
-    if not in_span(dst.boundary_basis, m * src.boundary_basis):
-        raise DomainError("map does not descend")
-    return dst.project_map * (m * src.rep_basis)
+    return dst.project_map * image

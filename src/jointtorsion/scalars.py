@@ -81,9 +81,6 @@ class QiScalar:
     def is_zero(self) -> bool:
         return self.re_num == 0 and self.im_num == 0
 
-    def is_real(self) -> bool:
-        return self.im_num == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -232,9 +229,6 @@ class QiScalar:
 
     def __str__(self):
         return self.to_text()
-
-    def to_complex(self) -> complex:
-        return complex(self.re_num / self.re_den, self.im_num / self.im_den)
 
 
 def _coerce(value):

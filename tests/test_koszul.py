@@ -420,8 +420,8 @@ def fresh_copy(m):
     return ExactMatrix(m.rows, m.cols, m.entries)
 
 
-def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
-    q = singular_d_quadruple(child_rng(29, 1000), 4)
+def count_eliminations(monkeypatch, q):
+    """_fraction_free calls of one joint_torsion_quad on fresh matrices."""
     q = KoszulQuadruple(*(fresh_copy(m) for m in (q.a, q.b, q.c, q.d)))
     calls = []
     kernel = linalg._fraction_free
@@ -432,7 +432,39 @@ def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
 
     monkeypatch.setattr(linalg, "_fraction_free", counted)
     assert joint_torsion_quad(q).value == qi(1)
-    # One elimination per subquotient where there were three, and the quad
-    # complex's blocks reduced once: the three-elimination construction
-    # with hand-built H2, H1 and H0 took 144 on this quadruple.
-    assert len(calls) <= 122
+    return len(calls)
+
+
+def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
+    # One elimination per subquotient, with descent and containment read
+    # off it by products.  The three-elimination construction with
+    # hand-built H2, H1 and H0 took 144 on this quadruple, and span tests
+    # for descent and containment 122.
+    q = singular_d_quadruple(child_rng(29, 1000), 4)
+    assert count_eliminations(monkeypatch, q) <= 95
+
+
+def test_elimination_count_of_a_dim6_quadruple(monkeypatch):
+    # 120 with span tests for descent and containment.
+    q = random_quadruple(child_rng(1, 0), 6)
+    assert count_eliminations(monkeypatch, q) <= 95
+
+
+def test_quadruple_checks_ab_equals_cd_by_one_product(monkeypatch):
+    q = random_quadruple(child_rng(29, 2000), 3)
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    built = KoszulQuadruple(q.a, q.b, q.c, q.d)
+    assert len(products) == 1
+    assert build_quad_complex(built) is built.complex
+    assert built.complex.differential(2) == (-q.b).vstack(q.d)
+    assert built.complex.differential(1) == q.a.hstack(q.c)
+    with pytest.raises(DomainError, match="^AB != CD$"):
+        KoszulQuadruple(q.a, q.b, q.c, q.d + ExactMatrix.identity(3))
+    assert len(products) == 2

@@ -2,6 +2,8 @@
 subquotients with induced maps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
                           build_subquotient, cokernel_subquotient,
@@ -343,6 +345,10 @@ def assert_subquotient_matches_reference(n, cycles, boundaries):
     assert sq.project_map == project
     assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
     assert (sq.project_map * boundaries).is_zero()
+    assert (sq.complement_map * cycles).is_zero()
+    assert (sq.complement_map * rep).is_zero()
+    assert sq.complement_map.cols == n
+    assert sq.complement_map.rows == n - boundaries.hstack(cycles).rank()
 
 
 def random_cycles(rng, n, count):
@@ -401,3 +407,111 @@ def test_subquotient_rejects_non_contained_pair_like_reference():
         for build in (build_subquotient, reference_subquotient):
             with pytest.raises(DomainError, match="not a subquotient"):
                 build(n, cycles, boundaries)
+
+
+# -- descent by products against descent by span tests -------------------------
+
+def reference_induced_map(m, src, dst):
+    """The induced map with its descent checked by two span tests, one
+    elimination each, in place of products with dst's stored maps."""
+    if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
+        raise DomainError("ambient shape mismatch")
+    if not in_span(dst.cycle_basis, m * src.cycle_basis):
+        raise DomainError("map does not descend")
+    if not in_span(dst.boundary_basis, m * src.boundary_basis):
+        raise DomainError("map does not descend")
+    return dst.project_map * (m * src.rep_basis)
+
+
+def sometimes_rebased(rng, sq):
+    """sq, or in three cases of ten sq rebased by a random invertible g."""
+    if sq.dim and rng.random() < 0.3:
+        return sq.with_rep_transform(random_invertible(rng, sq.dim, mag=2))
+    return sq
+
+
+def random_subquotient(rng, n):
+    cycles = random_cycles(rng, n, rng.randint(2, n + 2))
+    mix = random_matrix(rng, cycles.cols, rng.randint(0, 1), mag=2,
+                        imag_prob=0.3)
+    return sometimes_rebased(rng, build_subquotient(n, cycles, cycles * mix))
+
+
+def descent_case(seed):
+    """A seeded map m and subquotients src, dst.  Half the targets are built
+    around m's image of src, so that m descends unless a rank-one change
+    of m (made half the time) breaks it."""
+    rng = child_rng(31, seed)
+    n_src, n_dst = rng.randint(0, 5), rng.randint(0, 5)
+    src = random_subquotient(rng, n_src)
+    m = random_matrix(rng, n_dst, n_src, mag=2, imag_prob=0.3)
+    if rng.random() < 0.5:
+        cycles = (m * src.cycle_basis).hstack(
+            random_cycles(rng, n_dst, rng.randint(0, 2)))
+        boundaries = m * src.boundary_basis
+        if rng.random() < 0.3:
+            boundaries = boundaries.hstack(
+                cycles * random_matrix(rng, cycles.cols, 1, mag=2))
+        dst = sometimes_rebased(rng,
+                                build_subquotient(n_dst, cycles, boundaries))
+        if rng.random() < 0.5:
+            m = m + random_matrix(rng, n_dst, 1) * random_matrix(rng, 1, n_src)
+    elif rng.random() < 0.5 and n_dst == n_src:
+        # an endomorphism of one subquotient: a scalar multiple of the
+        # identity descends
+        dst = src
+        m = ExactMatrix.scalar_diag(n_src, random_qi(rng, 2))
+        if rng.random() < 0.5:
+            m = m + random_matrix(rng, n_dst, 1) * random_matrix(rng, 1, n_src)
+    else:
+        dst = random_subquotient(rng, n_dst)
+    return m, src, dst
+
+
+def descent_outcome(m, src, dst, induce):
+    try:
+        return induce(m, src, dst)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_product_descent_agrees_with_span_descent(seed):
+    m, src, dst = descent_case(seed)
+    assert (descent_outcome(m, src, dst, induced_map)
+            == descent_outcome(m, src, dst, reference_induced_map))
+
+
+def test_descent_cases_cover_both_outcomes():
+    outcomes = {"descends": 0, "raises": 0, "nonzero map": 0}
+    for seed in range(300):
+        m, src, dst = descent_case(seed)
+        got = descent_outcome(m, src, dst, induced_map)
+        assert got == descent_outcome(m, src, dst, reference_induced_map)
+        if isinstance(got, str):
+            assert got == "map does not descend"
+            outcomes["raises"] += 1
+        else:
+            outcomes["descends"] += 1
+            outcomes["nonzero map"] += not got.is_zero()
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def reference_pseudoinverse(m):
+    """R_right * C_left as a matrix product (the selection not scattered)."""
+    res = m.rref()
+    r = res.rank
+    right = ExactMatrix(m.cols, r, [ONE if res.pivots[j] == i else ZERO
+                                    for i in range(m.cols) for j in range(r)])
+    left = ExactMatrix(r, m.rows, res.transform.entries[:r * m.rows])
+    return right * left
+
+
+def test_pseudoinverse_scatter_matches_product():
+    rng = child_rng(31, -1)
+    for rows in range(5):
+        for cols in range(5):
+            m = random_matrix(rng, rows, cols, mag=3)
+            for case in (m, rank_deficient(rng, m), ExactMatrix.zero(rows, cols)):
+                assert case.pseudoinverse() == reference_pseudoinverse(case)
