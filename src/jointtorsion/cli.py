@@ -31,7 +31,7 @@ from .koszul import KoszulQuadruple, joint_torsion_quad
 from .linalg import ExactMatrix
 from .scalars import QiScalar
 from .suites import run_suite
-from .toeplitz import make_symbol, tame_symbol, toeplitz_joint_torsion
+from .toeplitz import AnalyticSymbol, tame_symbol, toeplitz_joint_torsion
 
 _COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
              "toeplitz_exact", "toeplitz_numeric", "verify")
@@ -102,7 +102,7 @@ def _symbol(value, path: str):
     roots = [_scalar(v, f"{path}.roots[{i}]")
              for i, v in enumerate(_as_list(_need(obj, "roots", path),
                                             f"{path}.roots"))]
-    return make_symbol(leading, roots)
+    return AnalyticSymbol(leading, roots)
 
 
 def _finite(value, path: str) -> float:
@@ -164,10 +164,9 @@ def _handle_torsion(payload: dict) -> dict:
         bases = [_matrix(raw, spaces[i], spaces[i], f"$.payload.bases[{i}]")
                  for i, raw in enumerate(bases_raw)]
     seq = BasedExactSequence(ChainComplexSpec(spaces, diffs), bases)
-    result = torsion_scalar(seq)
-    return {"value": result.value.to_text(),
+    return {"value": torsion_scalar(seq).to_text(),
             "report": {"spaces": spaces,
-                       "basis_fingerprint": result.basis_fingerprint}}
+                       "basis_fingerprint": seq.fingerprint()}}
 
 
 def _handle_pair(payload: dict) -> dict:
@@ -196,8 +195,8 @@ def _quad_report(report) -> dict:
             "kappa_C": report.kappa_C, "kappa_D": report.kappa_D,
             "mu": report.mu_values},
         "homology_dims": report.homology_dims,
-        "tau_AD": report.tau_AD.value.to_text(),
-        "tau_BC": report.tau_BC.value.to_text(),
+        "tau_AD": report.tau_AD.to_text(),
+        "tau_BC": report.tau_BC.to_text(),
         "sigma_AD": report.sigma_AD.to_text(),
         "sigma_BC": report.sigma_BC.to_text(),
     }

@@ -29,7 +29,6 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient
@@ -193,18 +192,9 @@ def _padded_bases(seq: BasedExactSequence, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class TorsionScalar:
-    value: QiScalar
-    basis_fingerprint: str
-
-    def __post_init__(self):
-        if self.value.is_zero():
-            raise DomainError("torsion scalar must be nonzero")
-
-
-def torsion_scalar(seq: BasedExactSequence, selector=None) -> TorsionScalar:
-    """Torsion of a based exact sequence, per the conventions above.
+def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
+    """Torsion of a based exact sequence, per the conventions above: a
+    nonzero scalar (a vanishing factor is an internal error).
 
     ``selector`` optionally overrides the generator choice: it gets the
     degree and the differential and must return column indices on which the
@@ -240,7 +230,7 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> TorsionScalar:
             raise RuntimeError("internal: torsion factor vanished")
         starred = (n - k) % 2 == 0
         value = value * (c.inverse() if starred else c)
-    return TorsionScalar(value, seq.fingerprint())
+    return value
 
 
 def interleave_sign(first: BasedExactSequence, second: BasedExactSequence) -> int:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import BasedExactSequence, ChainComplexSpec, TorsionScalar, torsion_scalar
+from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .linalg import (ExactMatrix, Subquotient, cokernel_subquotient,
                      induced_map, kernel_subquotient)
@@ -136,11 +136,6 @@ class KoszulQuadruple:
             raise DomainError("AB != CD") from exc
         self.a, self.b, self.c, self.d = a, b, c, d
         self.dim = h
-
-
-def build_quad_complex(q: KoszulQuadruple) -> ChainComplexSpec:
-    """Three-term complex H -> H^2 -> H with d2 = (-B; D), d1 = (A, C)."""
-    return q.complex
 
 
 _SPACE_LABELS = ("ker_A", "coker_A", "ker_B", "coker_B", "ker_C", "coker_C",
@@ -251,8 +246,8 @@ def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases=None) -> QiScalar:
         bases = (kernel_subquotient(a), cokernel_subquotient(a),
                  kernel_subquotient(d), cokernel_subquotient(d))
     ker_a, coker_a, ker_d, coker_d = bases
-    tau_a = torsion_scalar(_four_term_sequence(a, ker_a, coker_a)).value
-    tau_d = torsion_scalar(_four_term_sequence(d, ker_d, coker_d)).value
+    tau_a = torsion_scalar(_four_term_sequence(a, ker_a, coker_a))
+    tau_d = torsion_scalar(_four_term_sequence(d, ker_d, coker_d))
     sign = -1 if (kappa(a) + kappa(d)) % 2 else 1
     return tau_a * tau_d.inverse() * sign
 
@@ -264,8 +259,8 @@ class JointTorsionReport:
     value = (-1)^(lambda_exp + pairing_exp) * tau_AD * tau_BC^(-1)
             * sigma_AD * sigma_BC.
     """
-    tau_AD: TorsionScalar
-    tau_BC: TorsionScalar
+    tau_AD: QiScalar
+    tau_BC: QiScalar
     sigma_AD: QiScalar
     sigma_BC: QiScalar
     lambda_exp: int
@@ -300,7 +295,7 @@ def joint_torsion_quad(q: KoszulQuadruple, rebasing=None) -> JointTorsionReport:
                   + dims["H0"] * (dims["coker_A"] + dims["coker_C"]))
     pairing_exp = (dims["ker_B"] * (dims["ker_C"] + 1)
                    + dims["ker_D"] * (dims["ker_A"] + 1))
-    value = tau_ad.value * tau_bc.value.inverse() * sigma_ad * sigma_bc
+    value = tau_ad * tau_bc.inverse() * sigma_ad * sigma_bc
     if (lambda_exp + pairing_exp) % 2:
         value = -value
     return JointTorsionReport(

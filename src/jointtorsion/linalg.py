@@ -85,13 +85,13 @@ class _Slots:
                 for s in range(start * bits, (start + width) * bits, bits)]
 
 
-def _cleared_rows(m: "ExactMatrix", augment: bool):
+def _cleared_rows(m: "ExactMatrix"):
     """The rows of m, each scaled by the lcm of its denominators, packed.
 
-    With ``augment`` every row i is followed by den * e_i, so elimination on
-    the result records the transform beside the reduced matrix.  The slot
-    width holds Hadamard's bound on every minor (the product of the row
-    norms), which bounds every entry fraction-free elimination produces.
+    The slot width holds Hadamard's bound on every minor (the product of the
+    row norms), which bounds every entry fraction-free elimination produces.
+    A caller that needs the transform appends an identity block to m, so
+    elimination records the transform beside the reduced matrix.
     """
     n, w = m.rows, m.cols
     cleared = []
@@ -106,18 +106,11 @@ def _cleared_rows(m: "ExactMatrix", augment: bool):
             re = [e.re_num * (den // e.re_den) for e in row]
             im = [e.im_num * (den // e.im_den) for e in row]
         norm_sq = sum(map(mul, re, re)) + sum(map(mul, im, im))
-        if augment:
-            norm_sq += den * den
         bits += (norm_sq.bit_length() + 1) // 2
         cleared.append((re, im, den))
-    slots = _Slots(bits, w + n if augment else w)
-    rows = []
-    for i, (re, im, den) in enumerate(cleared):
-        packed = slots.pack(re)
-        if augment:
-            packed += den << (bits * (w + i))
-        rows.append((packed, slots.pack(im), den))
-    return rows, slots
+    slots = _Slots(bits, w)
+    return [(slots.pack(re), slots.pack(im), den)
+            for re, im, den in cleared], slots
 
 
 def _fraction_free(rows: list, slots: _Slots, cols: int, jordan: bool):
@@ -355,10 +348,13 @@ class ExactMatrix:
 
         Deterministic by construction: pivots are found by scanning each
         column top-down for the first nonzero entry, with no magnitude
-        heuristics, so the result depends only on the exact entries.
+        heuristics, so the result depends only on the exact entries.  The
+        elimination runs on [m | I] and scans only m's columns, so the
+        identity block ends up holding the transform.
         """
         if self._rref is None:
-            rows, slots = _cleared_rows(self, augment=True)
+            rows, slots = _cleared_rows(
+                self.hstack(ExactMatrix.identity(self.rows)))
             pivots, last, _ = _fraction_free(rows, slots, self.cols,
                                              jordan=True)
             self._rref = RrefResult(rows, slots, self.cols, pivots, last)
@@ -391,7 +387,7 @@ class ExactMatrix:
         over the product of the row clearing factors."""
         if not self.is_square():
             raise DomainError("determinant of non-square matrix")
-        rows, slots = _cleared_rows(self, augment=False)
+        rows, slots = _cleared_rows(self)
         pivots, (pr, pi), swaps = _fraction_free(rows, slots, self.cols,
                                                  jordan=False)
         if len(pivots) < self.rows:
@@ -553,7 +549,7 @@ def build_subquotient(ambient_dim: int, cycles: ExactMatrix,
         raise DomainError("ambient dimension mismatch")
     nb, nc = boundaries.cols, cycles.cols
     stacked = boundaries.hstack(cycles).hstack(ExactMatrix.identity(n))
-    rows, slots = _cleared_rows(stacked, augment=False)
+    rows, slots = _cleared_rows(stacked)
     pivots, last, _ = _fraction_free(rows, slots, stacked.cols, jordan=True)
     nbp = sum(p < nb for p in pivots)
     reps = [p - nb for p in pivots if nb <= p < nb + nc]

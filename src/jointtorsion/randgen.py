@@ -13,7 +13,7 @@ import random
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
 from .scalars import QiScalar
-from .toeplitz import AnalyticSymbol, make_symbol
+from .toeplitz import AnalyticSymbol
 
 
 def child_rng(seed: int, index: int) -> random.Random:
@@ -97,7 +97,7 @@ def random_symbol(rng: random.Random, max_roots: int = 3,
         leading = random_qi(rng, 3, imag_prob=0.25)
         if not leading.is_zero():
             break
-    return make_symbol(leading, roots)
+    return AnalyticSymbol(leading, roots)
 
 
 def random_exact_sequence(rng: random.Random, max_len: int = 5,

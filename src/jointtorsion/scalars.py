@@ -264,11 +264,6 @@ ONE = QiScalar._raw(1, 1, 0, 1)
 I = QiScalar._raw(0, 1, 1, 1)
 
 
-def qi(re=0, im=0) -> QiScalar:
-    """Shorthand constructor; accepts ints, Fractions, or (num, den) pairs."""
-    return QiScalar(re, im)
-
-
 def qi_modulus_cmp_one(x: QiScalar) -> str:
     """Exactly compare |x| with 1; returns 'less', 'equal', or 'greater'."""
     n, d = x._modulus_sq_pair()

@@ -66,12 +66,6 @@ def _root_key(r: QiScalar):
     return (r.re, r.im)
 
 
-def make_symbol(leading, roots) -> AnalyticSymbol:
-    leading = leading if isinstance(leading, QiScalar) else QiScalar(leading)
-    parsed = [r if isinstance(r, QiScalar) else QiScalar(r) for r in roots]
-    return AnalyticSymbol(leading, parsed)
-
-
 def _monic_inside_coeffs(f: AnalyticSymbol) -> list:
     """Coefficients c_0..c_{d-1} of the monic inside factor (degree d)."""
     coeffs = [ONE]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from jointtorsion import cli
+from jointtorsion import cli, fredholm
 from jointtorsion.cli import SchemaError, run_request
 from jointtorsion.errors import DomainError
 from jointtorsion.suites import run_suite
@@ -251,6 +251,22 @@ def test_trig_coefficient_must_be_a_finite_number(bad):
     assert proc.returncode == 3
     assert json.loads(proc.stdout) == {
         "error": "$.payload.g.coeffs.-1[1]: expected a finite number"}
+
+
+def test_truncation_size_over_the_cap_exits_2(monkeypatch, capsys):
+    def refuse(coeffs, size):
+        raise AssertionError(f"built a {size}x{size} array past the cap")
+
+    monkeypatch.setattr(fredholm, "toeplitz_matrix", refuse)
+    req = {"cmd": "toeplitz_numeric",
+           "payload": {"f": {"coeffs": {"1": [1.0, 0.0]}},
+                       "g": {"coeffs": {"-1": [1.0, 0.0]}}, "n": 10 ** 9}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(req)))
+    assert cli.main([]) == 2
+    total = 10 ** 9 + 2 * 16  # e^z has 1/k! above 1e-14 up to k = 16
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"truncation size n + buffer = {total} exceeds the cap of "
+                 f"{fredholm._MAX_DIM}"}
 
 
 def test_exact_request_does_not_load_numpy():

@@ -46,10 +46,9 @@ def significant_span(f, g):
     exponential factors e^{+-f_-}, e^{+-(f_0 + f_+)} and the same for g."""
     span = 0
     for poly in (f, g):
-        lower = poly.part("minus")
-        upper = poly.part("zero") + poly.part("plus")
+        lower, upper = poly.split()
         for part in (lower, upper, -lower, -upper):
-            coeffs = exp_symbol_coeffs(part, 1000)
+            coeffs = exp_symbol_coeffs(part)
             span = max([span] + [abs(k) for k, v in coeffs.items()
                                  if abs(v) > 1e-14])
     return span
@@ -62,13 +61,13 @@ def random_trig_poly(rng, span, scale):
 
 
 def test_exp_of_zero_is_delta():
-    coeffs = exp_symbol_coeffs(TrigPoly({}), 8)
+    coeffs = exp_symbol_coeffs(TrigPoly({}))
     assert coeffs == {0: 1.0 + 0j}
 
 
 def test_exp_of_cz_gives_power_series():
     c = 0.7 - 0.2j
-    coeffs = exp_symbol_coeffs(TrigPoly({1: c}), 12)
+    coeffs = exp_symbol_coeffs(TrigPoly({1: c}))
     for k in range(10):
         expected = c ** k / math.factorial(k)
         assert abs(coeffs.get(k, 0j) - expected) < 1e-15 * max(1.0, abs(expected))
@@ -79,16 +78,11 @@ def test_exp_symmetric_symbol_center_coefficient():
     # independent series oracle: the center coefficient of e^(z + 1/z)
     # is sum over k of 1/(k!)^2
     oracle = sum(1.0 / math.factorial(k) ** 2 for k in range(40))
-    coeffs = exp_symbol_coeffs(TrigPoly({1: 1.0, -1: 1.0}), 30)
+    coeffs = exp_symbol_coeffs(TrigPoly({1: 1.0, -1: 1.0}))
     assert abs(coeffs[0] - oracle) < 1e-12
     assert abs(coeffs[0] - 2.2795853) < 1e-6
     for k in range(1, 10):
         assert abs(coeffs[k] - coeffs[-k]) < 1e-14
-
-
-def test_exp_rejects_too_small_order():
-    with pytest.raises(DomainError, match="degree span"):
-        exp_symbol_coeffs(TrigPoly({3: 1.0}), 2)
 
 
 def test_closed_form_analytic_pair_is_one():
@@ -260,6 +254,28 @@ def test_explicit_buffer_is_honoured(monkeypatch):
     numeric_det_invariant(f, g, 32, buffer=2 * span)
     with pytest.raises(DomainError, match="buffer"):
         numeric_det_invariant(f, g, 32, buffer=2 * span - 1)
+
+
+# -- the size cap ---------------------------------------------------------------
+
+def _refuse_arrays(monkeypatch):
+    def refuse(coeffs, size):
+        raise AssertionError(f"built a {size}x{size} array past the cap")
+
+    monkeypatch.setattr(fredholm, "toeplitz_matrix", refuse)
+
+
+@pytest.mark.parametrize("over", [1, 2, 10 ** 12])
+def test_size_cap_rejects_before_any_array(monkeypatch, over):
+    f, g = NUMERIC_CORPUS[0]
+    span = significant_span(f, g)
+    cap = fredholm._MAX_DIM
+    _refuse_arrays(monkeypatch)
+    message = f"n \\+ buffer = {cap + over} exceeds the cap of {cap}$"
+    with pytest.raises(DomainError, match=message):
+        numeric_det_invariant(f, g, cap + over - 2 * span)
+    with pytest.raises(DomainError, match=message):
+        numeric_det_invariant(f, g, 16, buffer=cap + over - 16)
 
 
 def test_default_buffer_as_accurate_as_the_old_default():

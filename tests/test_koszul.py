@@ -5,13 +5,12 @@ import pytest
 
 from jointtorsion import (BasedExactSequence, CommutingTuple, DomainError,
                           ExactMatrix,
-                          KoszulQuadruple, RestrictionData,
-                          build_eps_sequences, build_koszul,
-                          build_quad_complex, det_commutator,
+                          KoszulQuadruple, QiScalar, RestrictionData,
+                          build_eps_sequences, build_koszul, det_commutator,
                           factorization_identities, graded_determinant,
                           joint_torsion_pair, joint_torsion_quad,
                           lefschetz_ratio, perturbation_sigma,
-                          pseudoinv_formula, qi, torsion_scalar)
+                          pseudoinv_formula, torsion_scalar)
 from jointtorsion import linalg
 from jointtorsion.koszul import QuadHomology
 from jointtorsion.linalg import build_subquotient, kernel_subquotient
@@ -55,12 +54,12 @@ def test_koszul_rejects_noncommuting():
 
 def test_quad_complex_zero_homology_dims():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
-    assert build_quad_complex(q).homology_dims() == [1, 2, 1]
+    assert q.complex.homology_dims() == [1, 2, 1]
 
 
 def test_quad_complex_identity_acyclic():
     q = KoszulQuadruple(ONE1, ONE1, ONE1, ONE1)
-    assert build_quad_complex(q).homology_dims() == [0, 0, 0]
+    assert q.complex.homology_dims() == [0, 0, 0]
 
 
 def test_quad_complex_rejects_mismatch():
@@ -73,7 +72,7 @@ def test_quad_matches_koszul_for_commuting_pair():
     for _ in range(5):
         a, b = random_commuting_pair(rng, rng.randint(1, 3))
         koszul = build_koszul(CommutingTuple([a, b]))
-        quad = build_quad_complex(KoszulQuadruple(a, b, b, a))
+        quad = KoszulQuadruple(a, b, b, a).complex
         assert koszul.homology_dims() == quad.homology_dims()
         assert quad.differential(2) == koszul.differential(2)
         assert quad.differential(1) == koszul.differential(1)
@@ -117,15 +116,15 @@ def test_sigma_equal_operators_is_one():
     for _ in range(10):
         n = rng.randint(1, 4)
         a = random_singularized(rng, n)
-        assert perturbation_sigma(a, a) == qi(1)
+        assert perturbation_sigma(a, a) == QiScalar(1)
 
 
 def test_sigma_invertible_scalars():
-    assert perturbation_sigma(mat([[2]]), mat([[3]])) == qi((3, 2))
+    assert perturbation_sigma(mat([[2]]), mat([[3]])) == QiScalar((3, 2))
 
 
 def test_sigma_zero_operators():
-    assert perturbation_sigma(ZERO1, ZERO1) == qi(1)
+    assert perturbation_sigma(ZERO1, ZERO1) == QiScalar(1)
 
 
 def test_sigma_shape_mismatch():
@@ -151,7 +150,7 @@ def test_sigma_direct_sum_multiplicative():
 
 def test_joint_torsion_zero_quadruple():
     report = joint_torsion_quad(KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1))
-    assert report.value == qi(1)
+    assert report.value == QiScalar(1)
     assert report.lambda_exp == 4
 
 
@@ -160,7 +159,7 @@ def test_joint_torsion_random_quadruples_trivial():
     for trial in range(40):
         q = random_quadruple(rng, rng.randint(1, 4))
         report = joint_torsion_quad(q)
-        assert report.value == qi(1), f"trial {trial}"
+        assert report.value == QiScalar(1), f"trial {trial}"
 
 
 def test_joint_torsion_direct_sum_multiplicative():
@@ -199,29 +198,30 @@ def test_joint_torsion_pair_with_identity():
     for _ in range(6):
         n = rng.randint(1, 4)
         a = random_singularized(rng, n)
-        assert joint_torsion_pair(a, ExactMatrix.identity(n)) == qi(1)
-        assert joint_torsion_pair(ExactMatrix.identity(n), a) == qi(1)
+        assert joint_torsion_pair(a, ExactMatrix.identity(n)) == QiScalar(1)
+        assert joint_torsion_pair(ExactMatrix.identity(n), a) == QiScalar(1)
 
 
 def test_joint_torsion_pair_examples():
     a = mat([[0, 0], [0, 2]])
     b = mat([[3, 0], [0, 0]])
-    assert joint_torsion_pair(a, b) == qi(1)
-    assert joint_torsion_pair(ZERO1, ZERO1) == qi(1)
+    assert joint_torsion_pair(a, b) == QiScalar(1)
+    assert joint_torsion_pair(ZERO1, ZERO1) == QiScalar(1)
 
 
 def test_joint_torsion_pair_random_commuting():
     rng = child_rng(17, 7)
     for _ in range(15):
         a, b = random_commuting_pair(rng, rng.randint(1, 4))
-        assert joint_torsion_pair(a, b) == qi(1)
+        assert joint_torsion_pair(a, b) == QiScalar(1)
 
 
 def test_joint_torsion_pair_skew_symmetry():
     rng = child_rng(17, 8)
     for _ in range(10):
         a, b = random_commuting_pair(rng, rng.randint(1, 3))
-        assert joint_torsion_pair(a, b) * joint_torsion_pair(b, a) == qi(1)
+        product = joint_torsion_pair(a, b) * joint_torsion_pair(b, a)
+        assert product == QiScalar(1)
 
 
 def test_joint_torsion_pair_rejects_noncommuting():
@@ -233,15 +233,15 @@ def test_joint_torsion_pair_rejects_noncommuting():
 
 def test_lefschetz_identity_blocks():
     blocks = RestrictionData(*(ExactMatrix.identity(2) for _ in range(4)))
-    assert lefschetz_ratio(blocks) == qi(1)
+    assert lefschetz_ratio(blocks) == QiScalar(1)
 
 
 def test_lefschetz_toeplitz_model_values():
     empty = ExactMatrix.zero(0, 0)
     r = RestrictionData(empty, mat([["1/6"]]), mat([["-1/6"]]), empty)
-    assert lefschetz_ratio(r) == qi(-1)
+    assert lefschetz_ratio(r) == QiScalar(-1)
     r2 = RestrictionData(empty, mat([["-3/2"]]), empty, empty)
-    assert lefschetz_ratio(r2) == qi((-2, 3))
+    assert lefschetz_ratio(r2) == QiScalar((-2, 3))
 
 
 def test_lefschetz_rejects_singular_block():
@@ -254,7 +254,7 @@ def test_graded_determinant_equals_torsion():
     rng = child_rng(17, 9)
     for _ in range(30):
         seq = random_exact_sequence(rng, max_len=5, max_rank=3)
-        assert graded_determinant(seq) == torsion_scalar(seq).value
+        assert graded_determinant(seq) == torsion_scalar(seq)
 
 
 def test_graded_determinant_pseudoinverse_choice_irrelevant():
@@ -267,7 +267,7 @@ def test_graded_determinant_pseudoinverse_choice_irrelevant():
               if seq.complex.dim(k) else ExactMatrix.identity(0)
               for k in range(n, -1, -1)]
         rebased = BasedExactSequence(seq.complex, gs)
-        assert graded_determinant(rebased) == torsion_scalar(rebased).value
+        assert graded_determinant(rebased) == torsion_scalar(rebased)
 
 
 def test_pseudoinv_formula_two_term_isomorphisms():
@@ -298,11 +298,12 @@ def test_pseudoinv_formula_matches_pipeline_on_pairs():
 def test_det_commutator_commuting():
     a = mat([[2, 0], [0, 3]])
     b = mat([[5, 0], [0, 7]])
-    assert det_commutator(a, b) == qi(1)
+    assert det_commutator(a, b) == QiScalar(1)
 
 
 def test_det_commutator_triangular_pair():
-    assert det_commutator(mat([[1, 1], [0, 1]]), mat([[1, 0], [0, 2]])) == qi(1)
+    assert (det_commutator(mat([[1, 1], [0, 1]]), mat([[1, 0], [0, 2]]))
+            == QiScalar(1))
 
 
 def test_det_commutator_random():
@@ -311,7 +312,7 @@ def test_det_commutator_random():
         n = rng.randint(1, 4)
         a = random_invertible(rng, n)
         b = random_invertible(rng, n)
-        assert det_commutator(a, b) == qi(1)
+        assert det_commutator(a, b) == QiScalar(1)
 
 
 def test_det_commutator_rejects_singular():
@@ -337,7 +338,7 @@ def test_factorization_det_class_hand_example():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
     u = mat([[2]])
     lhs, rhs = factorization_identities(q, u, "sigma-det-class")
-    assert lhs == rhs == qi(1)
+    assert lhs == rhs == QiScalar(1)
 
 
 def test_factorization_identities_random():
@@ -367,7 +368,7 @@ def singular_d_quadruple(rng, n):
     a = random_singularized(rng, n, mag=3)
     c = random_singularized(rng, n, mag=3)
     kernel = a.hstack(-c).kernel_basis()
-    coeffs = ExactMatrix(kernel.cols, n, [qi(rng.choice((-1, 0, 0, 1)))
+    coeffs = ExactMatrix(kernel.cols, n, [QiScalar(rng.choice((-1, 0, 0, 1)))
                                           for _ in range(kernel.cols * n)])
     bd = kernel * coeffs
     b = ExactMatrix(n, n, bd.entries[:n * n])
@@ -400,7 +401,7 @@ def test_quad_homology_matches_hand_built_spaces_on_singular_d():
             assert sq.rep_basis == ref.rep_basis
             assert sq.project_map == ref.project_map
         report = joint_torsion_quad(q)
-        assert report.value == qi(1)
+        assert report.value == QiScalar(1)
         for label in seen:
             seen[label] += report.homology_dims[label] > 0
     assert all(count > 0 for count in seen.values()), seen
@@ -431,7 +432,7 @@ def count_eliminations(monkeypatch, q):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "_fraction_free", counted)
-    assert joint_torsion_quad(q).value == qi(1)
+    assert joint_torsion_quad(q).value == QiScalar(1)
     return len(calls)
 
 
@@ -462,7 +463,6 @@ def test_quadruple_checks_ab_equals_cd_by_one_product(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
     built = KoszulQuadruple(q.a, q.b, q.c, q.d)
     assert len(products) == 1
-    assert build_quad_complex(built) is built.complex
     assert built.complex.differential(2) == (-q.b).vstack(q.d)
     assert built.complex.differential(1) == q.a.hstack(q.c)
     with pytest.raises(DomainError, match="^AB != CD$"):

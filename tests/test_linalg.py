@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
                           build_subquotient, cokernel_subquotient,
-                          induced_map, kernel_subquotient, qi)
+                          induced_map, kernel_subquotient)
 from jointtorsion.linalg import in_span
 from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
                                   random_qi, random_singularized)
@@ -40,8 +40,8 @@ def test_rref_shifted_pivot():
 def test_subspace_bases_rank_one():
     m = mat([[1, 2], [2, 4]])
     kernel, image = m.kernel_basis(), m.image_basis()
-    assert kernel.columns() == [(qi(-2), qi(1))]
-    assert image.columns() == [(qi(1), qi(2))]
+    assert kernel.columns() == [(QiScalar(-2), QiScalar(1))]
+    assert image.columns() == [(QiScalar(1), QiScalar(2))]
     assert (m * kernel).is_zero()
 
 
@@ -67,9 +67,9 @@ def test_kernel_image_ranks_on_randoms():
 
 
 def test_determinant_examples():
-    assert mat([[1, 2], [3, 4]]).determinant() == qi(-2)
-    assert mat([["i"]]).determinant() == qi(0, 1)
-    assert mat([[1, 2], [2, 4]]).determinant() == qi(0)
+    assert mat([[1, 2], [3, 4]]).determinant() == QiScalar(-2)
+    assert mat([["i"]]).determinant() == QiScalar(0, 1)
+    assert mat([[1, 2], [2, 4]]).determinant() == QiScalar(0)
     with pytest.raises(DomainError):
         ExactMatrix.zero(2, 3).determinant()
 
@@ -114,7 +114,7 @@ def test_pseudoinverse_identities_all_ranks():
 def test_build_subquotient_cokernel_of_diag():
     sq = cokernel_subquotient(mat([[0, 0], [0, 1]]))
     assert sq.dim == 1
-    assert sq.rep_basis.columns() == [(qi(1), qi(0))]
+    assert sq.rep_basis.columns() == [(QiScalar(1), QiScalar(0))]
 
 
 def test_build_subquotient_quad_h1_dimension():
@@ -184,8 +184,8 @@ def test_induced_map_respects_composition():
         m = random_singularized(rng, n, mag=3)
         sq = cokernel_subquotient(m)
         # any operators preserving im(m): multiples of identity do
-        u = ExactMatrix.scalar_diag(n, qi(2))
-        v = ExactMatrix.scalar_diag(n, qi((1, 3)))
+        u = ExactMatrix.scalar_diag(n, QiScalar(2))
+        v = ExactMatrix.scalar_diag(n, QiScalar((1, 3)))
         lhs = induced_map(u * v, sq, sq)
         rhs = induced_map(u, sq, sq) * induced_map(v, sq, sq)
         assert lhs == rhs
@@ -303,8 +303,8 @@ def test_kernel_matches_reference_with_many_prime_denominators():
            for k, p in enumerate(primes)]
     m = ExactMatrix(4, 4, ent)
     assert_matches_reference(m)
-    assert_matches_reference(m.hstack(m.scale(qi(1, 1))))
-    assert_matches_reference(m.vstack(m.scale(qi((1, 7)))))
+    assert_matches_reference(m.hstack(m.scale(QiScalar(1, 1))))
+    assert_matches_reference(m.vstack(m.scale(QiScalar((1, 7)))))
 
 
 def test_kernel_matches_reference_with_large_entries():
@@ -314,6 +314,49 @@ def test_kernel_matches_reference_with_large_entries():
            for _ in range(5 * 6)]
     assert_matches_reference(ExactMatrix(5, 6, ent))
     assert_matches_reference(ExactMatrix(5, 5, ent[:25]))
+
+
+# -- rref invariants on generated matrices -------------------------------------
+
+PARTS = st.tuples(st.integers(-3, 3), st.integers(1, 4))
+SCALARS = st.builds(QiScalar, PARTS, st.one_of(st.just(0), PARTS))
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """Matrices up to 5x6 with fractional and complex entries, some rows
+    zeroed and some copied from an earlier row."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    grid = [draw(st.lists(SCALARS, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+    for i in range(rows):
+        how = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if how == "zero":
+            grid[i] = [ZERO] * cols
+        elif how == "copy" and i:
+            grid[i] = list(grid[draw(st.integers(0, i - 1))])
+    return ExactMatrix(rows, cols, [v for row in grid for v in row])
+
+
+def leading_columns(r):
+    """The column of the first nonzero entry of each nonzero row of r."""
+    lead = (next((j for j in range(r.cols) if not r[i, j].is_zero()), None)
+            for i in range(r.rows))
+    return tuple(j for j in lead if j is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_repeats())
+def test_rref_invariants(m):
+    res = m.rref()
+    assert res.transform * m == res.rref
+    assert reference_determinant(res.transform) != ZERO
+    assert res.pivots == leading_columns(res.rref)
+    assert list(res.pivots) == sorted(set(res.pivots))
+    assert res.rank == len(res.pivots)
+    for i, p in enumerate(res.pivots):
+        assert res.rref.column(p) == tuple(ONE if k == i else ZERO
+                                           for k in range(m.rows))
 
 
 # -- differential test of the one-elimination subquotient ---------------------
