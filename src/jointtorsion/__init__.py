@@ -19,8 +19,7 @@ from .koszul import (CommutingTuple, FACTORIZATION_SELECTORS,
                      factorization_identities, graded_determinant,
                      joint_torsion_pair, joint_torsion_quad, lefschetz_ratio,
                      perturbation_sigma, pseudoinv_formula)
-from .linalg import (ExactMatrix, Subquotient, build_subquotient,
-                     cokernel_subquotient, induced_map, kernel_subquotient)
+from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
 from .scalars import QiScalar, qi_modulus_cmp_one
 from .toeplitz import (AnalyticSymbol, coker_action, restriction_data,
                        restriction_sequences, tame_symbol,
@@ -32,10 +31,10 @@ __all__ = [
     "FACTORIZATION_SELECTORS", "JointTorsionReport", "KoszulQuadruple",
     "RestrictionData", "Subquotient", "TrigPoly", "build_eps_sequences",
     "build_koszul", "build_subquotient", "closed_form_di", "coker_action",
-    "cokernel_subquotient", "det_commutator", "exp_symbol_coeffs",
+    "det_commutator", "exp_symbol_coeffs",
     "factorization_identities", "graded_determinant", "induced_map",
     "interleave_sign", "joint_torsion_pair", "joint_torsion_quad",
-    "kernel_subquotient", "lefschetz_ratio", "numeric_det_invariant",
+    "lefschetz_ratio", "numeric_det_invariant",
     "perturbation_sigma", "pseudoinv_formula", "qi_modulus_cmp_one",
     "QiScalar", "restriction_data", "restriction_sequences", "tame_symbol",
     "toeplitz_joint_torsion", "torsion_scalar",

@@ -80,9 +80,8 @@ class ChainComplexSpec:
         """H_k as a based subquotient: ker d_k over im d_{k+1}."""
         if not 0 <= k <= self.length:
             raise DomainError(f"degree {k} out of range")
-        cycles = self.differential(k).kernel_basis()
-        boundaries = self.differential(k + 1).image_basis()
-        return build_subquotient(self._dims[k], cycles, boundaries)
+        return build_subquotient(self.differential(k),
+                                 self.differential(k + 1))
 
     def homology_dims(self) -> list:
         return [self._dims[k] - self.rank(k) - self.rank(k + 1)
@@ -203,10 +202,10 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
     """
     cpx = seq.complex
     n = cpx.length
-    selections = {}
-    for k in range(n + 2):
+    selections = {0: [], n + 1: []}
+    for k in range(1, n + 1):
         d = cpx.differential(k)
-        if selector is None or k == 0 or k == n + 1:
+        if selector is None:
             selections[k] = list(d.rref().pivots)
         else:
             chosen = list(selector(k, d))

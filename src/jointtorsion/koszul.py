@@ -54,8 +54,7 @@ from itertools import combinations
 
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
-from .linalg import (ExactMatrix, Subquotient, cokernel_subquotient,
-                     induced_map, kernel_subquotient)
+from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
 from .scalars import QiScalar
 
 
@@ -152,19 +151,16 @@ class QuadHomology:
 
     def __init__(self, q: KoszulQuadruple, rebasing=None):
         self.quad = q
-        sq = {
-            "ker_A": kernel_subquotient(q.a),
-            "coker_A": cokernel_subquotient(q.a),
-            "ker_B": kernel_subquotient(q.b),
-            "coker_B": cokernel_subquotient(q.b),
-            "ker_C": kernel_subquotient(q.c),
-            "coker_C": cokernel_subquotient(q.c),
-            "ker_D": kernel_subquotient(q.d),
-            "coker_D": cokernel_subquotient(q.d),
-            "ker_B_cap_ker_D": q.complex.homology(2),
-            "H1": q.complex.homology(1),
-            "H0": q.complex.homology(0),
-        }
+        # ker X = ker X / im (0 -> H) and coker X = ker (H -> 0) / im X
+        h = q.dim
+        zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
+        sq = {}
+        for name, op in zip("ABCD", (q.a, q.b, q.c, q.d)):
+            sq[f"ker_{name}"] = build_subquotient(op, zero_in)
+            sq[f"coker_{name}"] = build_subquotient(zero_out, op)
+        sq["ker_B_cap_ker_D"] = q.complex.homology(2)
+        sq["H1"] = q.complex.homology(1)
+        sq["H0"] = q.complex.homology(0)
         if rebasing:
             for label, g in rebasing.items():
                 if label not in sq:
@@ -243,8 +239,10 @@ def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases=None) -> QiScalar:
     if a.rows != a.cols or d.rows != d.cols or a.rows != d.rows:
         raise DomainError("shape mismatch")
     if bases is None:
-        bases = (kernel_subquotient(a), cokernel_subquotient(a),
-                 kernel_subquotient(d), cokernel_subquotient(d))
+        h = a.rows
+        zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
+        bases = (build_subquotient(a, zero_in), build_subquotient(zero_out, a),
+                 build_subquotient(d, zero_in), build_subquotient(zero_out, d))
     ker_a, coker_a, ker_d, coker_d = bases
     tau_a = torsion_scalar(_four_term_sequence(a, ker_a, coker_a))
     tau_d = torsion_scalar(_four_term_sequence(d, ker_d, coker_d))
@@ -467,30 +465,32 @@ def factorization_identities(q: KoszulQuadruple, u: ExactMatrix, which: str):
         raise DomainError("U not invertible")
     a, b, c, d = q.a, q.b, q.c, q.d
     u_inv = u.inverse()
+    h = q.dim
+    zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
 
     if which == "sigma-conjugate":
         d2 = u_inv * d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = induced_map(u_inv, kernel_subquotient(d),
-                            kernel_subquotient(d2)).determinant()
-        t_coker = induced_map(u_inv, cokernel_subquotient(d),
-                              cokernel_subquotient(d2)).determinant()
+        t_ker = induced_map(u_inv, build_subquotient(d, zero_in),
+                            build_subquotient(d2, zero_in)).determinant()
+        t_coker = induced_map(u_inv, build_subquotient(zero_out, d),
+                              build_subquotient(zero_out, d2)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker * t_coker.inverse()
         return lhs, rhs
     if which == "sigma-right-shift":
         a2, d2 = a * u, d * u
         lhs = perturbation_sigma(a2, d2)
-        t_ker_a = induced_map(u_inv, kernel_subquotient(a),
-                              kernel_subquotient(a2)).determinant()
-        t_ker_d = induced_map(u_inv, kernel_subquotient(d),
-                              kernel_subquotient(d2)).determinant()
+        t_ker_a = induced_map(u_inv, build_subquotient(a, zero_in),
+                              build_subquotient(a2, zero_in)).determinant()
+        t_ker_d = induced_map(u_inv, build_subquotient(d, zero_in),
+                              build_subquotient(d2, zero_in)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker_a.inverse() * t_ker_d
         return lhs, rhs
     if which == "sigma-det-class":
         d2 = d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = induced_map(u_inv, kernel_subquotient(d),
-                            kernel_subquotient(d2)).determinant()
+        t_ker = induced_map(u_inv, build_subquotient(d, zero_in),
+                            build_subquotient(d2, zero_in)).determinant()
         rhs = perturbation_sigma(a, d) * t_ker * u.determinant()
         return lhs, rhs
     if which == "quad-conjugate":

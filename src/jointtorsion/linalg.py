@@ -12,13 +12,14 @@ is read.  Scaling rows leaves the zero pattern unchanged, so the pivot scan
 picks the same pivots as plain Gauss-Jordan over Q(i), and every basis,
 transform and determinant equals the one plain elimination gives.
 
-Subquotients (kernels, cokernels, homology spaces) are represented by
-explicit matrices: a cycle basis, a boundary basis, a representative basis
-whose classes form a basis of the quotient, a projection onto coordinates
-in that basis, and a complement map whose kernel is the cycle space.  One
-elimination builds all of them.  Induced maps on subquotients are then
-ordinary matrix products, and whether a map descends is checked exactly by
-products with the projection and the complement map, without eliminating.
+Every subquotient (kernel, cokernel, homology space) is a homology space
+ker f / im g, represented by explicit matrices: the cycle map f, a boundary
+basis, a representative basis whose classes form a basis of the quotient,
+and a projection onto coordinates in that basis.  One elimination beyond
+the reductions of f and g builds them and decides whether im g lies in
+ker f.  Induced maps on subquotients are then ordinary matrix products, and
+whether a map descends is checked exactly by products with the cycle map
+and the projection, without eliminating.
 """
 
 from __future__ import annotations
@@ -488,29 +489,28 @@ def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
 
 
 class Subquotient:
-    """A based subquotient Z/B of an ambient coordinate space.
+    """A based subquotient ker f / im g of an ambient coordinate space.
 
-    ``rep_basis`` columns are ambient vectors whose classes form the chosen
-    basis of the quotient; ``project_map`` is a left inverse of
-    ``rep_basis`` that kills the boundaries and a fixed complement of the
-    cycle space, so it maps a cycle to the coordinates of its class.
-    ``complement_map`` reads the coordinates along that complement: its
-    kernel is exactly the cycle space, and stacked under ``project_map`` its
-    kernel is exactly the boundary space.  So whether a map descends to a
-    subquotient is decided by products with these two maps.
+    ``cycle_map`` is f, whose kernel is the cycle space; ``boundary_basis``
+    spans im g.  ``rep_basis`` columns are cycles whose classes form the
+    chosen basis of the quotient; ``project_map`` is a left inverse of
+    ``rep_basis`` that kills the boundaries, so it maps a cycle to the
+    coordinates of its class.  A cycle is a boundary exactly when its
+    projection vanishes, so whether a map descends to a subquotient is
+    decided by products with ``cycle_map`` and ``project_map``.
     """
 
-    __slots__ = ("ambient_dim", "cycle_basis", "boundary_basis", "rep_basis",
-                 "project_map", "complement_map")
+    __slots__ = ("cycle_map", "boundary_basis", "rep_basis", "project_map")
 
-    def __init__(self, ambient_dim, cycle_basis, boundary_basis, rep_basis,
-                 project_map, complement_map):
-        self.ambient_dim = ambient_dim
-        self.cycle_basis = cycle_basis
+    def __init__(self, cycle_map, boundary_basis, rep_basis, project_map):
+        self.cycle_map = cycle_map
         self.boundary_basis = boundary_basis
         self.rep_basis = rep_basis
         self.project_map = project_map
-        self.complement_map = complement_map
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.cycle_map.cols
 
     @property
     def dim(self) -> int:
@@ -519,60 +519,41 @@ class Subquotient:
     def with_rep_transform(self, g: ExactMatrix) -> "Subquotient":
         """Recombine the representative basis by an invertible matrix g.
 
-        Both spans stay, and so does the complement map."""
+        Both spans stay, and so does the cycle map."""
         if g.rows != self.dim or g.cols != self.dim:
             raise DomainError("rebase shape mismatch")
-        return Subquotient(self.ambient_dim, self.cycle_basis,
-                           self.boundary_basis, self.rep_basis * g,
-                           g.inverse() * self.project_map,
-                           self.complement_map)
+        return Subquotient(self.cycle_map, self.boundary_basis,
+                           self.rep_basis * g, g.inverse() * self.project_map)
 
 
-def build_subquotient(ambient_dim: int, cycles: ExactMatrix,
-                      boundaries: ExactMatrix) -> Subquotient:
-    """Construct the based subquotient span(cycles)/span(boundaries).
+def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
+    """Construct the based subquotient ker f / im g, with f as its cycle map.
 
-    One elimination of [boundaries | cycles | I] gives everything.  Under
-    the leftmost-pivot rule its pivots in the boundaries block are the
-    boundaries' pivot columns, those in the cycles block pick the
-    representative columns, which extend them to a basis of the span of
-    both blocks, and those in the identity block a standard complement.
-    The matrix has full row rank, so its reduced identity block is the
-    inverse T of the pivot-column basis.  The projection is T's rows at the
-    representative pivots and the complement map T's rows at the complement
-    pivots.  The same elimination gives rank [boundaries | cycles]; the
-    boundaries lie in the span of the cycles exactly when that equals the
-    rank of the cycles, which is always so when every boundary is zero.
+    The cycles are f's kernel basis and the boundaries g's image basis.
+    One elimination of [boundaries | cycles | I] gives the rest.  Under the
+    leftmost-pivot rule its pivots in the boundaries block are all of that
+    block, those in the cycles block pick the representative columns, which
+    extend the boundaries to a basis of the span of both blocks, and those
+    in the identity block a standard complement.  The matrix has full row
+    rank, so its reduced identity block is the inverse T of the pivot-column
+    basis, and the projection is T's rows at the representative pivots.
+    Both blocks have independent columns, so im g lies in ker f exactly
+    when the first two blocks hold as many pivots as there are cycles.
     """
-    n = ambient_dim
-    if cycles.rows != n or boundaries.rows != n:
+    if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
+    n = f.cols
+    cycles, boundaries = f.kernel_basis(), g.image_basis()
     nb, nc = boundaries.cols, cycles.cols
     stacked = boundaries.hstack(cycles).hstack(ExactMatrix.identity(n))
     rows, slots = _cleared_rows(stacked)
     pivots, last, _ = _fraction_free(rows, slots, stacked.cols, jordan=True)
-    nbp = sum(p < nb for p in pivots)
     reps = [p - nb for p in pivots if nb <= p < nb + nc]
-    if nbp and nbp + len(reps) != cycles.rank():
+    if nb + len(reps) != nc:
         raise DomainError("not a subquotient")
-    # T's rows past the boundary pivots: representatives, then complement
-    tail = _block(rows[nbp:], slots, last, n - nbp, nb + nc, n).entries
-    split = len(reps) * n
-    return Subquotient(n, cycles, boundaries, cycles.select_columns(reps),
-                       ExactMatrix(len(reps), n, tail[:split]),
-                       ExactMatrix(n - nbp - len(reps), n, tail[split:]))
-
-
-def kernel_subquotient(m: ExactMatrix) -> Subquotient:
-    """ker m as a based subquotient (no boundaries)."""
-    return build_subquotient(m.cols, m.kernel_basis(),
-                             ExactMatrix.zero(m.cols, 0))
-
-
-def cokernel_subquotient(m: ExactMatrix) -> Subquotient:
-    """coker m = ambient/im m as a based subquotient."""
-    return build_subquotient(m.rows, ExactMatrix.identity(m.rows),
-                             m.image_basis())
+    # T's rows at the representative pivots are rows nb .. nc - 1
+    project = _block(rows[nb:nc], slots, last, len(reps), nb + nc, n)
+    return Subquotient(f, boundaries, cycles.select_columns(reps), project)
 
 
 def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatrix:
@@ -581,15 +562,15 @@ def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatr
     Checked exactly: m must carry cycles into cycles and boundaries into
     boundaries, otherwise the induced map does not exist.  The source
     cycles are spanned by its boundaries and representatives, so that holds
-    exactly when dst's complement map kills the images of both and dst's
+    exactly when dst's cycle map kills the images of both and dst's
     projection kills the image of the boundaries.
     """
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise DomainError("ambient shape mismatch")
     image = m * src.rep_basis
     moved = m * src.boundary_basis
-    if not ((dst.complement_map * image).is_zero()
-            and (dst.complement_map * moved).is_zero()
+    if not ((dst.cycle_map * image).is_zero()
+            and (dst.cycle_map * moved).is_zero()
             and (dst.project_map * moved).is_zero()):
         raise DomainError("map does not descend")
     return dst.project_map * image

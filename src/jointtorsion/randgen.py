@@ -69,6 +69,24 @@ def random_quadruple(rng: random.Random, dim: int, mag: int = 4) -> KoszulQuadru
     return KoszulQuadruple(a, b, c, d)
 
 
+def random_singular_d_quadruple(rng: random.Random, dim: int,
+                                mag: int = 3) -> KoszulQuadruple:
+    """AB = CD by construction with D often singular: A and C have some
+    columns zeroed, and every column of (B; D) is a {-1, 0, 1} combination
+    of the kernel basis of [A | -C].  So ker D, ker B n ker D and H0 are
+    often nonzero, where random_quadruple's D is invertible."""
+    a = random_singularized(rng, dim, mag)
+    c = random_singularized(rng, dim, mag)
+    kernel = a.hstack(-c).kernel_basis()
+    coeffs = ExactMatrix(kernel.cols, dim,
+                         [QiScalar(rng.choice((-1, 0, 0, 1)))
+                          for _ in range(kernel.cols * dim)])
+    bd = kernel * coeffs
+    b = ExactMatrix(dim, dim, bd.entries[:dim * dim])
+    d = ExactMatrix(dim, dim, bd.entries[dim * dim:])
+    return KoszulQuadruple(a, b, c, d)
+
+
 def random_commuting_pair(rng: random.Random, dim: int, mag: int = 3):
     """Two polynomials in a common random matrix; singular with fair odds."""
     m = random_matrix(rng, dim, dim, mag, imag_prob=0.3)

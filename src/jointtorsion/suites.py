@@ -18,7 +18,8 @@ from .koszul import (FACTORIZATION_SELECTORS, KoszulQuadruple,
                      joint_torsion_quad, pseudoinv_formula)
 from .linalg import ExactMatrix
 from .randgen import (child_rng, random_commuting_pair, random_exact_sequence,
-                      random_invertible, random_quadruple, random_symbol)
+                      random_invertible, random_quadruple,
+                      random_singular_d_quadruple, random_symbol)
 from .scalars import QiScalar
 from .toeplitz import (AnalyticSymbol, restriction_sequences, tame_symbol,
                        toeplitz_joint_torsion)
@@ -45,14 +46,18 @@ def _check(results, prop: str, ok: bool, reproducer: dict):
                     "reproducer": None if ok else reproducer})
 
 
-def _suite_finite_triviality(seed, index):
+def _suite_finite_triviality(seed, index, family=random_quadruple):
     rng = child_rng(seed, index)
-    q = random_quadruple(rng, rng.randint(1, 6))
+    q = family(rng, rng.randint(1, 6))
     results = []
     value = joint_torsion_quad(q).value
     _check(results, "joint torsion equals 1", value == QiScalar(1),
            _quad_request(q))
     return results
+
+
+def _suite_finite_triviality_singular(seed, index):
+    return _suite_finite_triviality(seed, index, random_singular_d_quadruple)
 
 
 def _suite_torsion_determinant(seed, index):
@@ -229,6 +234,7 @@ def _suite_numeric_convergence(seed, index):
 
 SUITES = {
     "finite-triviality": _suite_finite_triviality,
+    "finite-triviality-singular": _suite_finite_triviality_singular,
     "torsion-determinant": _suite_torsion_determinant,
     "direct-sum": _suite_direct_sum,
     "basis-independence": _suite_basis_independence,

@@ -269,6 +269,22 @@ def test_truncation_size_over_the_cap_exits_2(monkeypatch, capsys):
                  f"{fredholm._MAX_DIM}"}
 
 
+def test_trig_poly_over_the_span_cap_exits_2(monkeypatch, capsys):
+    def refuse(poly):
+        raise AssertionError("summed an exponential series")
+
+    monkeypatch.setattr(fredholm, "exp_symbol_coeffs", refuse)
+    req = {"cmd": "toeplitz_numeric",
+           "payload": {"f": {"coeffs": {str(k): [1.0, 0.0]
+                                        for k in range(1, 41)}},
+                       "g": {"coeffs": {"-1": [1.0, 0.0]}}, "n": 16}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(req)))
+    assert cli.main([]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"f has degree span 40, above the cap of "
+                 f"{fredholm._MAX_SPAN}"}
+
+
 def test_exact_request_does_not_load_numpy():
     code = ("import sys, jointtorsion.cli as cli; "
             f"cli.run_request({ZERO_QUAD!r}); "

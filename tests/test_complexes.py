@@ -6,6 +6,8 @@ determinants c_k, and the alternating exponents anchored at the top space.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtorsion import (BasedExactSequence, ChainComplexSpec, DomainError,
                           ExactMatrix, QiScalar, interleave_sign,
@@ -136,6 +138,27 @@ def test_rebase_transformation_law_random():
             starred = (n - k) % 2 == 0
             expected = expected * (det if starred else det.inverse())
         assert after == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.booleans())
+def test_rebase_law_property(seed, full_length):
+    # torsion(seq based by g) = torsion(seq) * prod_k det(g_k)^(-s_k), with
+    # s_k = -1 at the starred positions k = n (mod 2) and +1 elsewhere
+    rng = child_rng(41, seed)
+    seq = random_exact_sequence(rng, max_len=5, max_rank=3,
+                                exact_len=full_length)
+    n = seq.length
+    by_degree = [random_invertible(rng, seq.complex.dim(k), mag=2)
+                 if seq.complex.dim(k) else ExactMatrix.identity(0)
+                 for k in range(n + 1)]
+    rebased = BasedExactSequence(seq.complex, by_degree[::-1])
+    expected = torsion_scalar(seq)
+    for k, g in enumerate(by_degree):
+        s_k = -1 if (n - k) % 2 == 0 else 1
+        det = g.determinant()
+        expected = expected * (det.inverse() if s_k == 1 else det)
+    assert torsion_scalar(rebased) == expected
 
 
 def test_rebase_rejects_singular():

@@ -3,6 +3,7 @@ closed form, and convergence of truncated commutator determinants."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,43 @@ def test_size_cap_rejects_before_any_array(monkeypatch, over):
         numeric_det_invariant(f, g, cap + over - 2 * span)
     with pytest.raises(DomainError, match=message):
         numeric_det_invariant(f, g, 16, buffer=cap + over - 16)
+
+
+def _refuse_series(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("summed an exponential series")
+
+    monkeypatch.setattr(fredholm, "exp_symbol_coeffs", refuse)
+
+
+SPAN_CAP, NORM_CAP = fredholm._MAX_SPAN, fredholm._MAX_NORM
+
+
+@pytest.mark.parametrize("poly, message", [
+    (TrigPoly({SPAN_CAP + 1: 0.1}),
+     f"degree span {SPAN_CAP + 1}, above the cap of {SPAN_CAP}"),
+    (TrigPoly({-SPAN_CAP - 1: 0.1, 1: 0.5}),
+     f"degree span {SPAN_CAP + 1}, above the cap of {SPAN_CAP}"),
+    (TrigPoly({1: NORM_CAP - 10, -1: 10.5j}),
+     f"coefficient 1-norm {NORM_CAP + 0.5:g}, above the cap of {NORM_CAP:g}"),
+    (TrigPoly({0: NORM_CAP + 1}),
+     f"coefficient 1-norm {NORM_CAP + 1:g}, above the cap of {NORM_CAP:g}"),
+])
+def test_span_and_norm_caps_reject_before_any_series(monkeypatch, poly,
+                                                     message):
+    _refuse_series(monkeypatch)
+    small = TrigPoly({-1: 1.0})
+    for name, f, g in (("f", poly, small), ("g", small, poly)):
+        with pytest.raises(DomainError,
+                           match=f"^{name} has {re.escape(message)}$"):
+            numeric_det_invariant(f, g, 32)
+
+
+def test_span_and_norm_caps_admit_a_symbol_at_the_caps(monkeypatch):
+    _refuse_series(monkeypatch)
+    at_caps = TrigPoly({-SPAN_CAP: NORM_CAP / 2, SPAN_CAP: NORM_CAP / 2})
+    with pytest.raises(AssertionError, match="summed an exponential series"):
+        numeric_det_invariant(at_caps, at_caps, 32)
 
 
 def test_default_buffer_as_accurate_as_the_old_default():

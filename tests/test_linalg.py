@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
-                          build_subquotient, cokernel_subquotient,
-                          induced_map, kernel_subquotient)
+                          build_subquotient, induced_map)
 from jointtorsion.linalg import in_span
 from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
                                   random_qi, random_singularized)
@@ -16,6 +15,16 @@ from jointtorsion.scalars import ONE, ZERO
 
 def mat(rows):
     return ExactMatrix.from_rows(rows)
+
+
+def kernel_of(m):
+    """ker m = ker m / im (0 -> domain)."""
+    return build_subquotient(m, ExactMatrix.zero(m.cols, 0))
+
+
+def cokernel_of(m):
+    """coker m = ker (codomain -> 0) / im m."""
+    return build_subquotient(ExactMatrix.zero(0, m.rows), m)
 
 
 def test_rref_rank_one():
@@ -112,28 +121,27 @@ def test_pseudoinverse_identities_all_ranks():
 
 
 def test_build_subquotient_cokernel_of_diag():
-    sq = cokernel_subquotient(mat([[0, 0], [0, 1]]))
+    sq = cokernel_of(mat([[0, 0], [0, 1]]))
     assert sq.dim == 1
     assert sq.rep_basis.columns() == [(QiScalar(1), QiScalar(0))]
 
 
 def test_build_subquotient_quad_h1_dimension():
     # H_1 of the quadruple complex with all-zero 1x1 operators: C^2 / 0.
-    cycles = ExactMatrix.identity(2)
-    boundaries = ExactMatrix.zero(2, 0)
-    sq = build_subquotient(2, cycles, boundaries)
+    sq = build_subquotient(ExactMatrix.zero(1, 2), ExactMatrix.zero(2, 1))
+    assert sq.cycle_map.kernel_basis() == ExactMatrix.identity(2)
     assert sq.dim == 2
 
 
 def test_build_subquotient_zero_quotient():
-    cycles = mat([[1, 0], [0, 1]])
-    sq = build_subquotient(2, cycles, cycles)
+    sq = build_subquotient(ExactMatrix.zero(0, 2), mat([[1, 0], [0, 1]]))
     assert sq.dim == 0
 
 
 def test_build_subquotient_containment_checked():
+    # ker [0 1] is spanned by e1, and im g by e2
     with pytest.raises(DomainError, match="not a subquotient"):
-        build_subquotient(2, mat([[1], [0]]), mat([[0], [1]]))
+        build_subquotient(mat([[0, 1]]), mat([[0], [1]]))
 
 
 def test_subquotient_projection_section_identity():
@@ -141,7 +149,7 @@ def test_subquotient_projection_section_identity():
     for _ in range(25):
         n = rng.randint(1, 5)
         m = random_singularized(rng, n, mag=3)
-        sq = cokernel_subquotient(m)
+        sq = cokernel_of(m)
         assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
         assert (sq.project_map * sq.boundary_basis).is_zero()
 
@@ -149,7 +157,7 @@ def test_subquotient_projection_section_identity():
 def test_induced_map_on_kernel():
     a = mat([[0, 0], [0, 2]])
     b = mat([[3, 0], [0, 0]])
-    assert induced_map(b, kernel_subquotient(a), kernel_subquotient(a)) == mat([[3]])
+    assert induced_map(b, kernel_of(a), kernel_of(a)) == mat([[3]])
 
 
 def test_induced_map_identity():
@@ -157,7 +165,7 @@ def test_induced_map_identity():
     for _ in range(10):
         n = rng.randint(1, 4)
         m = random_singularized(rng, n, mag=3)
-        sq = cokernel_subquotient(m)
+        sq = cokernel_of(m)
         ident = ExactMatrix.identity(n)
         assert induced_map(ident, sq, sq) == ExactMatrix.identity(sq.dim)
 
@@ -165,14 +173,14 @@ def test_induced_map_identity():
 def test_induced_map_on_cokernel():
     a = mat([[0, 0], [0, 2]])
     b = mat([[3, 0], [0, 0]])
-    sq = cokernel_subquotient(b)
+    sq = cokernel_of(b)
     assert induced_map(a, sq, sq) == mat([[2]])
 
 
 def test_induced_map_rejects_non_descending():
     a = mat([[0, 1], [0, 0]])  # does not map ker(proj to e1) into itself
-    src = kernel_subquotient(mat([[1, 0]]))
-    dst = kernel_subquotient(mat([[1, 0]]))
+    src = kernel_of(mat([[1, 0]]))
+    dst = kernel_of(mat([[1, 0]]))
     with pytest.raises(DomainError, match="map does not descend"):
         induced_map(a, src, dst)
 
@@ -182,7 +190,7 @@ def test_induced_map_respects_composition():
     for _ in range(15):
         n = rng.randint(1, 4)
         m = random_singularized(rng, n, mag=3)
-        sq = cokernel_subquotient(m)
+        sq = cokernel_of(m)
         # any operators preserving im(m): multiples of identity do
         u = ExactMatrix.scalar_diag(n, QiScalar(2))
         v = ExactMatrix.scalar_diag(n, QiScalar((1, 3)))
@@ -381,17 +389,51 @@ def reference_subquotient(ambient_dim, cycles, boundaries):
     return rep, project
 
 
-def assert_subquotient_matches_reference(n, cycles, boundaries):
-    sq = build_subquotient(n, cycles, boundaries)
-    rep, project = reference_subquotient(n, cycles, boundaries)
-    assert sq.rep_basis == rep
-    assert sq.project_map == project
+def built(f, g):
+    sq = build_subquotient(f, g)
+    return sq.rep_basis, sq.project_map
+
+
+def referenced(f, g):
+    return reference_subquotient(f.cols, f.kernel_basis(), g.image_basis())
+
+
+def subquotient_outcome(f, g, build):
+    """(rep_basis, project_map) of ker f / im g, or the error text."""
+    try:
+        return build(f, g)
+    except DomainError as exc:
+        return str(exc)
+
+
+def assert_subquotient_matches_reference(f, g):
+    got = subquotient_outcome(f, g, built)
+    assert got == subquotient_outcome(f, g, referenced)
+    if isinstance(got, str):
+        assert got == "not a subquotient"
+        assert not (f * g).is_zero()
+        return
+    n = f.cols
+    sq = build_subquotient(f, g)
+    assert sq.cycle_map == f
+    assert sq.boundary_basis == g.image_basis()
     assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
-    assert (sq.project_map * boundaries).is_zero()
-    assert (sq.complement_map * cycles).is_zero()
-    assert (sq.complement_map * rep).is_zero()
-    assert sq.complement_map.cols == n
-    assert sq.complement_map.rows == n - boundaries.hstack(cycles).rank()
+    assert (sq.cycle_map * sq.rep_basis).is_zero()
+    assert (sq.project_map * g).is_zero()
+    # ker f is the cycle space and ker (f; project_map) the boundary space
+    assert sq.cycle_map.rank() == n - f.kernel_basis().cols
+    stacked = sq.cycle_map.vstack(sq.project_map)
+    assert stacked.rank() == n - sq.boundary_basis.cols
+
+
+def random_cycle_map(rng, n):
+    """A map out of C^n, often rank-deficient, so that its kernel, the
+    cycle space, is often nonzero and often not spanned by standard
+    vectors."""
+    f = random_matrix(rng, rng.randint(0, n), n, mag=3, imag_prob=0.4)
+    if rng.random() < 0.5:
+        f = rank_deficient(rng, f)
+    return f
 
 
 def random_cycles(rng, n, count):
@@ -413,43 +455,62 @@ def random_cycles(rng, n, count):
     return ExactMatrix.from_columns(n, cols)
 
 
+def random_boundaries(rng, f, count):
+    """count combinations of f's kernel basis, dependent ones included."""
+    kernel = f.kernel_basis()
+    mix = random_matrix(rng, kernel.cols, count, mag=2, imag_prob=0.3)
+    if rng.random() < 0.3:
+        mix = rank_deficient(rng, mix)
+    return kernel * mix
+
+
 def test_subquotient_matches_reference_on_seeded_pairs():
     rng = child_rng(23, 0)
+    raised = 0
     for n in range(7):
-        for _ in range(8):
-            cycles = random_cycles(rng, n, rng.randint(0, n + 2))
-            # boundaries: combinations of the cycles, dependent ones included
-            mix = random_matrix(rng, cycles.cols, rng.randint(0, n + 1),
-                                mag=2, imag_prob=0.3)
-            if rng.random() < 0.3:
-                mix = rank_deficient(rng, mix)
-            assert_subquotient_matches_reference(n, cycles, cycles * mix)
+        for _ in range(12):
+            f = random_cycle_map(rng, n)
+            g = random_boundaries(rng, f, rng.randint(0, n - f.rank()))
+            if rng.random() < 0.25:
+                # a boundary outside the cycles, unless f kills it anyway
+                g = g.hstack(random_matrix(rng, n, 1, mag=3))
+                raised += not (f * g).is_zero()
+            assert_subquotient_matches_reference(f, g)
+    assert raised
 
 
 def test_subquotient_matches_reference_on_edge_blocks():
     rng = child_rng(23, 1)
     for n in range(5):
-        cycles = random_cycles(rng, n, n + 1)
-        empty = ExactMatrix.zero(n, 0)
-        assert_subquotient_matches_reference(n, cycles, cycles)
-        assert_subquotient_matches_reference(n, cycles, empty)
-        assert_subquotient_matches_reference(n, empty, empty)
-        assert_subquotient_matches_reference(n, ExactMatrix.identity(n),
-                                             cycles)
-        assert_subquotient_matches_reference(n, ExactMatrix.zero(n, 2),
+        f = random_cycle_map(rng, n)
+        kernel = f.kernel_basis()
+        assert_subquotient_matches_reference(f, kernel)
+        assert_subquotient_matches_reference(f, ExactMatrix.zero(n, 0))
+        assert_subquotient_matches_reference(ExactMatrix.identity(n),
+                                             ExactMatrix.zero(n, 0))
+        assert_subquotient_matches_reference(ExactMatrix.zero(0, n),
+                                             random_cycles(rng, n, n + 1))
+        assert_subquotient_matches_reference(ExactMatrix.zero(2, n),
                                              ExactMatrix.zero(n, 3))
-        assert build_subquotient(n, cycles, cycles).dim == 0
+        assert build_subquotient(f, kernel).dim == 0
+
+
+def left_annihilator(vectors):
+    """A matrix whose kernel is exactly the span of the columns of vectors:
+    the rows of their rref transform past the rank."""
+    res = vectors.rref()
+    t = res.transform
+    return ExactMatrix(t.rows - res.rank, t.cols, t.entries[res.rank * t.cols:])
 
 
 def test_subquotient_rejects_non_contained_pair_like_reference():
     rng = child_rng(23, 2)
     for n in range(2, 6):
         basis = random_invertible(rng, n, mag=3)
-        cycles = basis.select_columns(range(n - 1))
-        boundaries = basis.select_columns([n - 1])
-        for build in (build_subquotient, reference_subquotient):
-            with pytest.raises(DomainError, match="not a subquotient"):
-                build(n, cycles, boundaries)
+        f = left_annihilator(basis.select_columns(range(n - 1)))
+        g = basis.select_columns([n - 1])
+        for build in (built, referenced):
+            assert subquotient_outcome(f, g, build) == "not a subquotient"
 
 
 # -- descent by products against descent by span tests -------------------------
@@ -459,7 +520,8 @@ def reference_induced_map(m, src, dst):
     elimination each, in place of products with dst's stored maps."""
     if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
         raise DomainError("ambient shape mismatch")
-    if not in_span(dst.cycle_basis, m * src.cycle_basis):
+    if not in_span(dst.cycle_map.kernel_basis(),
+                   m * src.cycle_map.kernel_basis()):
         raise DomainError("map does not descend")
     if not in_span(dst.boundary_basis, m * src.boundary_basis):
         raise DomainError("map does not descend")
@@ -474,10 +536,9 @@ def sometimes_rebased(rng, sq):
 
 
 def random_subquotient(rng, n):
-    cycles = random_cycles(rng, n, rng.randint(2, n + 2))
-    mix = random_matrix(rng, cycles.cols, rng.randint(0, 1), mag=2,
-                        imag_prob=0.3)
-    return sometimes_rebased(rng, build_subquotient(n, cycles, cycles * mix))
+    f = random_cycle_map(rng, n)
+    return sometimes_rebased(rng, build_subquotient(
+        f, random_boundaries(rng, f, rng.randint(0, 1))))
 
 
 def descent_case(seed):
@@ -489,14 +550,14 @@ def descent_case(seed):
     src = random_subquotient(rng, n_src)
     m = random_matrix(rng, n_dst, n_src, mag=2, imag_prob=0.3)
     if rng.random() < 0.5:
-        cycles = (m * src.cycle_basis).hstack(
+        cycles = (m * src.cycle_map.kernel_basis()).hstack(
             random_cycles(rng, n_dst, rng.randint(0, 2)))
         boundaries = m * src.boundary_basis
         if rng.random() < 0.3:
             boundaries = boundaries.hstack(
                 cycles * random_matrix(rng, cycles.cols, 1, mag=2))
-        dst = sometimes_rebased(rng,
-                                build_subquotient(n_dst, cycles, boundaries))
+        dst = sometimes_rebased(rng, build_subquotient(
+            left_annihilator(cycles), boundaries))
         if rng.random() < 0.5:
             m = m + random_matrix(rng, n_dst, 1) * random_matrix(rng, 1, n_src)
     elif rng.random() < 0.5 and n_dst == n_src:

@@ -1,6 +1,7 @@
-"""Every public name resolves, and every name the benchmark's tracer wraps
+"""Every public name resolves, every name the benchmark's tracer wraps
 still exists in the package, so that a traced run (``--trace 1``) cannot
-break silently when a name is deleted or renamed.
+break silently when a name is deleted or renamed, and README's list of
+suites is the package's.
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
 are plain literals.
@@ -9,11 +10,14 @@ are plain literals.
 import ast
 import importlib
 import os
+import re
 
 import jointtorsion
+from jointtorsion.suites import SUITES
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "benchmark", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "benchmark", "tracing.py")
+README = os.path.join(ROOT, "README.md")
 TABLES = ("FUNCTIONS", "CLASSES", "METHODS", "SCALAR_OPS")
 
 
@@ -54,3 +58,11 @@ def test_every_traced_name_exists():
             f"{mod}.{cls_name}.{attr}"
     for attr in tables["SCALAR_OPS"]:
         assert attr in vars(jointtorsion.QiScalar), f"QiScalar.{attr}"
+
+
+def test_readme_lists_every_suite():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Available suites for `verify` / `--suite`:")
+    listing = text[text.index(":", start):text.index(". ", start)]
+    assert re.findall(r"`([^`]+)`", listing) == list(SUITES)
