@@ -11,14 +11,24 @@ Conventions, fixed once and used everywhere:
 * The torsion scalar of a based exact sequence alternates stars starting at
   the top: position k carries exponent -1 when ``k = n (mod 2)`` and +1
   otherwise.  For each degree the generator set T_k is the standard basis
-  vectors at the pivot columns of d_k, and
+  vectors at the pivot columns S_k of d_k, and
 
-      c_k = det [ d_{k+1} T_{k+1} | T_k ]   (in the basis of V_k)
+      c_k = det [ d_{k+1} T_{k+1} | T_k ]   (in the basis g_k of V_k)
 
   including k = n, whose factor is 1 for standard bases.  The product of
   ``c_k`` to the signed exponents is the torsion; it does not depend on the
   generator choices (any valid T_k gives the same value) and transforms by
   ``det(g_k)^(-s_k)`` under a change of basis ``g_k``.
+
+  Expanding along the standard columns T_k leaves one nonzero term: with
+  s = |S_k| and r = rank d_{k+1},
+
+      c_k = (-1)^(sum S_k + s r + s (s - 1) / 2)
+            * det d_{k+1}[rows not in S_k, T_{k+1}] * det(g_k)^(-1),
+
+  a signed r x r minor of d_{k+1}.  The top factor has r = 0, and when S_k
+  is empty and T_{k+1} is every column the minor is d_{k+1} itself, whose
+  determinant its rank computation already gave.
 
 * Direct sums concatenate bases first-summand-first.  The scalar torsion of
   a direct sum is the product of the torsions times an explicit reordering
@@ -208,7 +218,9 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
         if selector is None:
             selections[k] = list(d.rref().pivots)
         else:
-            chosen = list(selector(k, d))
+            # The order of a selection is immaterial: it permutes the
+            # columns of two adjacent factors with opposite exponents.
+            chosen = sorted(selector(k, d))
             sub = d.select_columns(chosen)
             if len(chosen) != cpx.rank(k) or sub.rank() != cpx.rank(k):
                 raise DomainError("invalid generator selection")
@@ -216,15 +228,24 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
     value = ONE
     for k in range(n, -1, -1):
         d_up = cpx.differential(k + 1)
-        image_part = d_up.select_columns(selections[k + 1])
-        own_part = ExactMatrix.identity(cpx.dim(k)).select_columns(selections[k])
-        square = image_part.hstack(own_part)
-        if square.cols != cpx.dim(k):
+        cols, own = selections[k + 1], selections[k]
+        r, s = len(cols), len(own)
+        if r + s != cpx.dim(k):
             raise RuntimeError("internal: torsion block is not square")
-        binv = seq.basis_inverse(k)
-        if binv is not None:
-            square = binv * square
-        c = square.determinant()
+        if not r:
+            c = ONE
+        elif not s and cols == list(range(d_up.cols)):
+            c = d_up.determinant()
+        else:
+            own_set = set(own)
+            c = ExactMatrix(r, r, [d_up[i, j] for i in range(d_up.rows)
+                                   if i not in own_set for j in cols]
+                            ).determinant()
+        if (sum(own) + s * r + s * (s - 1) // 2) % 2:
+            c = -c
+        g = seq.basis(k)
+        if g is not None:
+            c = c / g.determinant()
         if c.is_zero():
             raise RuntimeError("internal: torsion factor vanished")
         starred = (n - k) % 2 == 0

@@ -25,6 +25,12 @@ or g has degree span above ``_MAX_SPAN`` or coefficient 1-norm above
 ``_MAX_NORM`` is rejected before any series is summed.  At span 16 and
 1-norm 40 the eight series take about 4 s on the same machine.
 
+The products T_{e^f} T_{e^{-f}} cancel the size of their factors, so large
+factors leave nothing of double precision.  A request is rejected once the
+series are summed when, for f or for g, the product of the largest
+coefficient magnitudes of its four factors exceeds ``_MAX_GROWTH``, and
+also when the determinant is not finite.
+
 The determinant comes from a blocked LU with partial pivoting (panels of
 32 columns, each column updated left-looking by one matrix-vector product,
 then one matrix product for the trailing block).  Every pivot must reach
@@ -51,6 +57,7 @@ _PANEL = 32
 _MAX_DIM = 1536
 _MAX_SPAN = 16
 _MAX_NORM = 40.0
+_MAX_GROWTH = 1e8
 
 
 class TrigPoly:
@@ -208,10 +215,21 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
     g_lo, g_up, g_lo_inv, g_up_inv = factors(g)
 
     significant = 0
-    for coeffs in (f_lo, f_up, f_lo_inv, f_up_inv, g_lo, g_up, g_lo_inv, g_up_inv):
-        for k, v in coeffs.items():
-            if abs(v) > 1e-14 and abs(k) > significant:
-                significant = abs(k)
+    for name, sets in (("f", (f_lo, f_up, f_lo_inv, f_up_inv)),
+                       ("g", (g_lo, g_up, g_lo_inv, g_up_inv))):
+        growth = 1.0
+        for coeffs in sets:
+            largest = 0.0
+            for k, v in coeffs.items():
+                magnitude = abs(v)
+                largest = max(largest, magnitude)
+                if magnitude > 1e-14 and abs(k) > significant:
+                    significant = abs(k)
+            growth *= largest
+        if growth > _MAX_GROWTH:
+            raise DomainError(f"the exponential factors of {name} grow to "
+                              f"{growth:.3g}, above the cap of "
+                              f"{_MAX_GROWTH:g}")
     if buffer is None:
         buffer = 2 * significant
     if buffer < 2 * significant:
@@ -228,4 +246,7 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
     op_b_inv = toeplitz_matrix(g_up_inv, total) @ toeplitz_matrix(g_lo_inv, total)
 
     product = op_a @ op_b @ op_a_inv @ op_b_inv
-    return _lu_determinant(product[:size, :size])
+    det = _lu_determinant(product[:size, :size])
+    if not cmath.isfinite(det):
+        raise DomainError("determinant is not finite")
+    return det

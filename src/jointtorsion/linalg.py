@@ -12,6 +12,11 @@ is read.  Scaling rows leaves the zero pattern unchanged, so the pivot scan
 picks the same pivots as plain Gauss-Jordan over Q(i), and every basis,
 transform and determinant equals the one plain elimination gives.
 
+A matrix is eliminated forward once, and that one pass gives its pivots,
+its rank and, when it is square, its determinant.  The Gauss-Jordan pass
+over [m | I] that yields the reduced form and the transform runs only for
+the matrices whose reduced form or transform is read.
+
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
 basis, a representative basis whose classes form a basis of the quotient,
@@ -349,16 +354,24 @@ class ExactMatrix:
 
         Deterministic by construction: pivots are found by scanning each
         column top-down for the first nonzero entry, with no magnitude
-        heuristics, so the result depends only on the exact entries.  The
-        elimination runs on [m | I] and scans only m's columns, so the
-        identity block ends up holding the transform.
+        heuristics, so the result depends only on the exact entries.  One
+        forward elimination of m gives the pivots, the rank and, for a
+        square m, the determinant; the reduced form and the transform come
+        from a second pass only when one of them is read.
         """
         if self._rref is None:
-            rows, slots = _cleared_rows(
-                self.hstack(ExactMatrix.identity(self.rows)))
-            pivots, last, _ = _fraction_free(rows, slots, self.cols,
-                                             jordan=True)
-            self._rref = RrefResult(rows, slots, self.cols, pivots, last)
+            rows, slots = _cleared_rows(self)
+            pivots, last, swaps = _fraction_free(rows, slots, self.cols,
+                                                 jordan=False)
+            det = None
+            if self.is_square():
+                det = ZERO
+                if len(pivots) == self.rows:
+                    pr, pi = (-last[0], -last[1]) if swaps % 2 else last
+                    det = _quotients([pr], [pi],
+                                     prod(den for _, _, den in rows), 0)[0]
+            self._rref = RrefResult(self.rows, self.cols, self.entries,
+                                    pivots, det)
         return self._rref
 
     def rank(self) -> int:
@@ -383,19 +396,12 @@ class ExactMatrix:
         return self.select_columns(self.rref().pivots)
 
     def determinant(self) -> QiScalar:
-        """Exact determinant by fraction-free elimination with the same
-        deterministic pivot scan: the last pivot, signed by the row swaps,
-        over the product of the row clearing factors."""
+        """Exact determinant, read off the forward elimination of ``rref``:
+        the last pivot, signed by the row swaps, over the product of the row
+        clearing factors (zero when a column has no pivot)."""
         if not self.is_square():
             raise DomainError("determinant of non-square matrix")
-        rows, slots = _cleared_rows(self)
-        pivots, (pr, pi), swaps = _fraction_free(rows, slots, self.cols,
-                                                 jordan=False)
-        if len(pivots) < self.rows:
-            return ZERO
-        if swaps % 2:
-            pr, pi = -pr, -pi
-        return _quotients([pr], [pi], prod(den for _, _, den in rows), 0)[0]
+        return self.rref().determinant
 
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
@@ -428,39 +434,51 @@ class ExactMatrix:
 
 class RrefResult:
     """The reduced row echelon form ``rref`` of a matrix m, its ``pivots``
-    and ``rank``, and the recorded ``transform``, an invertible matrix with
-    transform * m = rref.
+    and ``rank``, the recorded ``transform``, an invertible matrix with
+    transform * m = rref, and for a square m its ``determinant`` (else
+    None).
 
-    Holds the rows of the fraction-free elimination of [m | I] and reads
-    each of the two matrices off them when it is first asked for, because
-    most callers need only the pivots.
+    Pivots, rank and determinant come from one forward elimination of m.
+    Below the next pivot row the forward and the Gauss-Jordan elimination
+    make the same updates, so they find the same pivots.  The Gauss-Jordan
+    elimination of [m | I] runs only when ``rref`` or ``transform`` is first
+    read, because most callers need only the pivots.  The result keeps m's
+    shape and entries rather than m, which caches it.
     """
 
-    __slots__ = ("pivots", "rank", "_rows", "_slots", "_cols", "_last",
-                 "_rref", "_transform")
+    __slots__ = ("pivots", "rank", "determinant", "_shape", "_entries",
+                 "_reduced", "_rref", "_transform")
 
-    def __init__(self, rows, slots, cols, pivots, last):
+    def __init__(self, rows, cols, entries, pivots, determinant):
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
-        self._rows = rows
-        self._slots = slots
-        self._cols = cols
-        self._last = last
+        self.determinant = determinant
+        self._shape = (rows, cols)
+        self._entries = entries
+        self._reduced = None
         self._rref = None
         self._transform = None
+
+    def _read(self, start, width) -> ExactMatrix:
+        """Columns start .. start+width-1 of the reduced [m | I]."""
+        if self._reduced is None:
+            n, cols = self._shape
+            m = ExactMatrix(n, cols, self._entries)
+            rows, slots = _cleared_rows(m.hstack(ExactMatrix.identity(n)))
+            _, last, _ = _fraction_free(rows, slots, cols, jordan=True)
+            self._reduced = rows, slots, last
+        return _block(*self._reduced, self.rank, start, width)
 
     @property
     def rref(self) -> ExactMatrix:
         if self._rref is None:
-            self._rref = _block(self._rows, self._slots, self._last,
-                                self.rank, 0, self._cols)
+            self._rref = self._read(0, self._shape[1])
         return self._rref
 
     @property
     def transform(self) -> ExactMatrix:
         if self._transform is None:
-            self._transform = _block(self._rows, self._slots, self._last,
-                                     self.rank, self._cols, len(self._rows))
+            self._transform = self._read(self._shape[1], self._shape[0])
         return self._transform
 
 

@@ -38,10 +38,12 @@ def _as_pair(value) -> tuple[int, int]:
     """A normalized rational pair from an int, a Fraction or (num, den)."""
     if isinstance(value, int):
         return value, 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
+    # tuple first: every parse passes one, and the Fraction test is an ABC
+    # instance check
     if isinstance(value, tuple) and len(value) == 2:
         return _norm(int(value[0]), int(value[1]))
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot build a rational part from {value!r}")
 
 

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from jointtorsion import cli, fredholm
+from jointtorsion import cli, fredholm, linalg
 from jointtorsion.cli import SchemaError, run_request
 from jointtorsion.errors import DomainError
+from jointtorsion.randgen import child_rng, random_invertible
 from jointtorsion.suites import run_suite
 
 
@@ -54,6 +55,26 @@ def test_torsion_request_with_bases():
     out = json.loads(proc.stdout)
     assert proc.returncode == 0
     assert out["value"] == "-1"
+
+
+def test_two_term_torsion_request_makes_one_forward_elimination(monkeypatch):
+    # The exactness check's rank of d gives its pivots and determinant, the
+    # top factor is an empty minor and the bottom one is d itself.  The
+    # full block determinants took three eliminations here.
+    m = random_invertible(child_rng(5, 12), 12, mag=3)
+    req = {"cmd": "torsion",
+           "payload": {"spaces": [12, 12],
+                       "differentials": [[e.to_text() for e in m.entries]]}}
+    calls = []
+    kernel = linalg._fraction_free
+
+    def counted(*args, jordan):
+        calls.append(jordan)
+        return kernel(*args, jordan=jordan)
+
+    monkeypatch.setattr(linalg, "_fraction_free", counted)
+    assert run_request(req)["value"] == m.determinant().to_text()
+    assert calls == [False]
 
 
 def test_pair_request():

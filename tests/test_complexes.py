@@ -5,6 +5,8 @@ volume-element formula by hand: generator sets at the pivot columns, block
 determinants c_k, and the alternating exponents anchored at the top space.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from jointtorsion import (BasedExactSequence, ChainComplexSpec, DomainError,
                           torsion_scalar)
 from jointtorsion.randgen import (child_rng, random_exact_sequence,
                                   random_invertible)
+from jointtorsion.scalars import ONE
 
 
 def mat(rows):
@@ -200,3 +203,58 @@ def test_rebase_permutation_flips_sign():
     swap = mat([[0, 1], [1, 0]])
     rebased = BasedExactSequence(seq.complex, [ExactMatrix.identity(2), swap])
     assert torsion_scalar(rebased) == -torsion_scalar(seq)
+
+
+# -- Laplace-minor factors against the full block determinants -----------------
+
+def reference_torsion(seq, selector=None):
+    """The product of c_k = det(g_k^-1 [d_{k+1} T_{k+1} | T_k]) to the
+    alternating exponents, each block built and eliminated in full."""
+    cpx = seq.complex
+    n = cpx.length
+    selections = {0: [], n + 1: []}
+    for k in range(1, n + 1):
+        d = cpx.differential(k)
+        selections[k] = (list(d.rref().pivots) if selector is None
+                         else list(selector(k, d)))
+    value = ONE
+    for k in range(n, -1, -1):
+        image = cpx.differential(k + 1).select_columns(selections[k + 1])
+        own = ExactMatrix.identity(cpx.dim(k)).select_columns(selections[k])
+        square = image.hstack(own)
+        binv = seq.basis_inverse(k)
+        if binv is not None:
+            square = binv * square
+        c = square.determinant()
+        value = value * (c.inverse() if (n - k) % 2 == 0 else c)
+    return value
+
+
+def shuffled_selector(seed):
+    """Picks independent columns greedily in a seeded random order, so the
+    selection is valid but neither the pivots nor sorted."""
+    def pick(k, d):
+        order = list(range(d.cols))
+        random.Random(seed * 64 + k).shuffle(order)
+        chosen = []
+        for j in order:
+            if d.select_columns(chosen + [j]).rank() > len(chosen):
+                chosen.append(j)
+        return chosen
+    return pick
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.booleans(),
+       st.booleans())
+def test_laplace_factors_match_full_block_determinants(seed, based, pick):
+    rng = child_rng(43, seed)
+    seq = random_exact_sequence(rng, max_len=4, max_rank=3)
+    if based:
+        seq = BasedExactSequence(seq.complex, [
+            random_invertible(rng, dim, mag=2) if dim
+            else ExactMatrix.identity(0)
+            for dim in reversed(seq.complex.dims_by_degree)])
+    selector = shuffled_selector(seed) if pick else None
+    assert (torsion_scalar(seq, selector=selector)
+            == reference_torsion(seq, selector=selector))

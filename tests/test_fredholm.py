@@ -316,6 +316,24 @@ def test_span_and_norm_caps_admit_a_symbol_at_the_caps(monkeypatch):
         numeric_det_invariant(at_caps, at_caps, 32)
 
 
+@pytest.mark.parametrize("f, g, n, growth", [
+    # closed form 1; returned -3.5e240 before the cap
+    (TrigPoly({k: 40 / 33 for k in range(-SPAN_CAP, SPAN_CAP + 1)}),
+     TrigPoly({k: -40 / 33 for k in range(-SPAN_CAP, SPAN_CAP + 1)}),
+     16, "6.24e+13"),
+    # closed form 1.14e26; returned -4.25e42
+    (TrigPoly({1: 10, -1: 10}), TrigPoly({1: 3, -1: -3}), 32, "5.77e+13"),
+    # returned nan+nanj with an overflow warning
+    (TrigPoly({1: 20, -1: 20}), TrigPoly({1: -20, -1: -20}), 32, "3.45e+30"),
+])
+def test_growth_cap_rejects_cancelling_factors(monkeypatch, f, g, n, growth):
+    _refuse_arrays(monkeypatch)
+    message = (f"the exponential factors of f grow to {growth}, above the "
+               f"cap of {fredholm._MAX_GROWTH:g}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        numeric_det_invariant(f, g, n)
+
+
 def test_default_buffer_as_accurate_as_the_old_default():
     rng = random.Random(2024)
     pairs = list(NUMERIC_CORPUS)

@@ -411,18 +411,19 @@ def fresh_copy(m):
 
 
 def count_eliminations(monkeypatch, q):
-    """_fraction_free calls of one joint_torsion_quad on fresh matrices."""
+    """_fraction_free calls of one joint_torsion_quad on fresh matrices, as
+    (forward passes, Jordan passes)."""
     q = KoszulQuadruple(*(fresh_copy(m) for m in (q.a, q.b, q.c, q.d)))
     calls = []
     kernel = linalg._fraction_free
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counted(*args, jordan):
+        calls.append(jordan)
+        return kernel(*args, jordan=jordan)
 
     monkeypatch.setattr(linalg, "_fraction_free", counted)
     assert joint_torsion_quad(q).value == QiScalar(1)
-    return len(calls)
+    return calls.count(False), calls.count(True)
 
 
 def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
@@ -430,17 +431,23 @@ def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
     # with containment read off it and descent checked by products, and no
     # elimination of a torsion's zero end maps.  The three-elimination
     # construction with hand-built H2, H1 and H0 took 144 on this
-    # quadruple, span tests for descent and containment 122, and a
-    # containment check by a second elimination 87.
+    # quadruple, span tests for descent and containment 122, a
+    # containment check by a second elimination 87, and a Gauss-Jordan pass
+    # for every rank and a separate determinant elimination 71 (41 Jordan).
     q = random_singular_d_quadruple(child_rng(29, 1000), 4)
-    assert count_eliminations(monkeypatch, q) <= 77
+    forward, jordan = count_eliminations(monkeypatch, q)
+    assert forward + jordan <= 60
+    assert jordan <= 16
 
 
 def test_elimination_count_of_a_dim6_quadruple(monkeypatch):
     # 120 with span tests for descent and containment, 87 with a second
-    # elimination for containment.
+    # elimination for containment, 71 (41 Jordan) with a Gauss-Jordan pass
+    # for every rank.
     q = random_quadruple(child_rng(1, 0), 6)
-    assert count_eliminations(monkeypatch, q) <= 77
+    forward, jordan = count_eliminations(monkeypatch, q)
+    assert forward + jordan <= 60
+    assert jordan <= 16
 
 
 def test_quadruple_checks_ab_equals_cd_by_one_product(monkeypatch):

@@ -1,13 +1,15 @@
 """Echelon decompositions, kernels, determinants, pseudoinverses, and
 subquotients with induced maps."""
 
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
                           build_subquotient, induced_map)
-from jointtorsion.linalg import in_span
+from jointtorsion.linalg import _cleared_rows, _fraction_free, in_span
 from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
                                   random_qi, random_singularized)
 from jointtorsion.scalars import ONE, ZERO
@@ -331,10 +333,11 @@ SCALARS = st.builds(QiScalar, PARTS, st.one_of(st.just(0), PARTS))
 
 
 @st.composite
-def matrices_with_repeats(draw):
-    """Matrices up to 5x6 with fractional and complex entries, some rows
-    zeroed and some copied from an earlier row."""
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+def matrices_with_repeats(draw, square=False):
+    """Matrices up to 5x6 (square ones up to 5x5) with fractional and
+    complex entries, some rows zeroed and some copied from an earlier row."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 6))
     grid = [draw(st.lists(SCALARS, min_size=cols, max_size=cols))
             for _ in range(rows)]
     for i in range(rows):
@@ -365,6 +368,43 @@ def test_rref_invariants(m):
     for i, p in enumerate(res.pivots):
         assert res.rref.column(p) == tuple(ONE if k == i else ZERO
                                            for k in range(m.rows))
+
+
+def standalone_determinant(m):
+    """The determinant by its own forward Bareiss elimination, apart from
+    rref: the last pivot, signed by the swaps, over the clearing factors."""
+    rows, slots = _cleared_rows(m)
+    pivots, (pr, pi), swaps = _fraction_free(rows, slots, m.cols,
+                                             jordan=False)
+    if len(pivots) < m.rows:
+        return ZERO
+    if swaps % 2:
+        pr, pi = -pr, -pi
+    den = prod(d for _, _, d in rows)
+    return QiScalar((pr, den), (pi, den))
+
+
+def jordan_pivots(m):
+    rows, slots = _cleared_rows(m.hstack(ExactMatrix.identity(m.rows)))
+    pivots, _, _ = _fraction_free(rows, slots, m.cols, jordan=True)
+    return tuple(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices_with_repeats(), matrices_with_repeats(square=True)))
+@example(ExactMatrix.zero(0, 0))
+@example(ExactMatrix.zero(0, 4))
+@example(ExactMatrix.zero(3, 0))
+def test_forward_pass_gives_jordan_pivots_and_bareiss_determinant(m):
+    res = m.rref()
+    assert res.pivots == jordan_pivots(m)
+    if m.is_square():
+        assert res.determinant == standalone_determinant(m)
+        assert m.determinant() == res.determinant
+    else:
+        assert res.determinant is None
+        with pytest.raises(DomainError, match="non-square"):
+            m.determinant()
 
 
 # -- differential test of the one-elimination subquotient ---------------------
