@@ -31,7 +31,8 @@ from .koszul import KoszulQuadruple, joint_torsion_quad
 from .linalg import ExactMatrix
 from .scalars import QiScalar
 from .suites import run_suite
-from .toeplitz import AnalyticSymbol, tame_symbol, toeplitz_joint_torsion
+from .toeplitz import (AnalyticSymbol, restriction_data, tame_symbol,
+                       toeplitz_joint_torsion)
 
 _COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
              "toeplitz_exact", "toeplitz_numeric", "verify")
@@ -173,9 +174,11 @@ def _handle_pair(payload: dict) -> dict:
     dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
     a = _square(payload, "a", dim, "$.payload")
     b = _square(payload, "b", dim, "$.payload")
-    if not a.commutator_with(b).is_zero():
-        raise DomainError("operators do not commute")
-    report = joint_torsion_quad(KoszulQuadruple(a, b, b, a))
+    try:
+        q = KoszulQuadruple(a, b, b, a)  # checks AB = BA
+    except DomainError as exc:
+        raise DomainError("operators do not commute") from exc
+    report = joint_torsion_quad(q)
     return {"value": report.value.to_text(), "report": _quad_report(report)}
 
 
@@ -205,7 +208,7 @@ def _quad_report(report) -> dict:
 def _handle_toeplitz_exact(payload: dict) -> dict:
     f = _symbol(_need(payload, "f", "$.payload"), "$.payload.f")
     g = _symbol(_need(payload, "g", "$.payload"), "$.payload.g")
-    value = toeplitz_joint_torsion(f, g)
+    value = toeplitz_joint_torsion(restriction_data(f, g))
     return {"value": value.to_text(),
             "report": {"tame_symbol": tame_symbol(f, g).to_text(),
                        "winding_f": f.winding, "winding_g": g.winding}}

@@ -307,10 +307,13 @@ def joint_torsion_quad(q: KoszulQuadruple, rebasing=None) -> JointTorsionReport:
 
 
 def joint_torsion_pair(a: ExactMatrix, b: ExactMatrix) -> QiScalar:
-    """Joint torsion of a commuting pair, via the quadruple (A, B, B, A)."""
-    if not a.commutator_with(b).is_zero():
-        raise DomainError("operators do not commute")
-    return joint_torsion_quad(KoszulQuadruple(a, b, b, a)).value
+    """Joint torsion of a commuting pair, via the quadruple (A, B, B, A),
+    whose construction is the check that AB = BA."""
+    try:
+        q = KoszulQuadruple(a, b, b, a)
+    except DomainError as exc:
+        raise DomainError("operators do not commute") from exc
+    return joint_torsion_quad(q).value
 
 
 @dataclass

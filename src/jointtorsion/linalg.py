@@ -305,6 +305,8 @@ class ExactMatrix:
             raise DomainError(f"shape mismatch {self.rows}x{self.cols} * "
                               f"{other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        if not (n and k and m):
+            return ExactMatrix(n, m, [ZERO] * (n * m))
         a, b = self.entries, other.entries
         out = []
         for i in range(n):
@@ -359,19 +361,24 @@ class ExactMatrix:
         square m, the determinant; the reduced form and the transform come
         from a second pass only when one of them is read.
         """
-        if self._rref is None:
-            rows, slots = _cleared_rows(self)
-            pivots, last, swaps = _fraction_free(rows, slots, self.cols,
-                                                 jordan=False)
-            det = None
-            if self.is_square():
-                det = ZERO
-                if len(pivots) == self.rows:
-                    pr, pi = (-last[0], -last[1]) if swaps % 2 else last
-                    det = _quotients([pr], [pi],
-                                     prod(den for _, _, den in rows), 0)[0]
-            self._rref = RrefResult(self.rows, self.cols, self.entries,
-                                    pivots, det)
+        if self._rref is not None:
+            return self._rref
+        if not (self.rows and self.cols):
+            # nothing to eliminate: no pivots, and the empty determinant is 1
+            self._rref = RrefResult(self.rows, self.cols, self.entries, (),
+                                    ONE if self.is_square() else None)
+            return self._rref
+        rows, slots = _cleared_rows(self)
+        pivots, last, swaps = _fraction_free(rows, slots, self.cols,
+                                             jordan=False)
+        det = None
+        if self.is_square():
+            det = ZERO
+            if len(pivots) == self.rows:
+                pr, pi = (-last[0], -last[1]) if swaps % 2 else last
+                det = _quotients([pr], [pi],
+                                 prod(den for _, _, den in rows), 0)[0]
+        self._rref = RrefResult(self.rows, self.cols, self.entries, pivots, det)
         return self._rref
 
     def rank(self) -> int:
@@ -443,7 +450,9 @@ class RrefResult:
     make the same updates, so they find the same pivots.  The Gauss-Jordan
     elimination of [m | I] runs only when ``rref`` or ``transform`` is first
     read, because most callers need only the pivots.  The result keeps m's
-    shape and entries rather than m, which caches it.
+    shape and entries rather than m, which caches it.  A matrix with no
+    rows or no columns is not eliminated at all: it has no pivots, it is
+    its own reduced form and its transform is the identity.
     """
 
     __slots__ = ("pivots", "rank", "determinant", "_shape", "_entries",
@@ -472,13 +481,17 @@ class RrefResult:
     @property
     def rref(self) -> ExactMatrix:
         if self._rref is None:
-            self._rref = self._read(0, self._shape[1])
+            n, cols = self._shape
+            self._rref = (self._read(0, cols) if n and cols
+                          else ExactMatrix(n, cols, ()))
         return self._rref
 
     @property
     def transform(self) -> ExactMatrix:
         if self._transform is None:
-            self._transform = self._read(self._shape[1], self._shape[0])
+            n, cols = self._shape
+            self._transform = (self._read(cols, n) if n and cols
+                               else ExactMatrix.identity(n))
         return self._transform
 
 

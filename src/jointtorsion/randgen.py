@@ -12,7 +12,7 @@ import random
 
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
-from .scalars import QiScalar
+from .scalars import QiScalar, _norm, qi_modulus_cmp_one
 from .toeplitz import AnalyticSymbol
 
 
@@ -22,12 +22,11 @@ def child_rng(seed: int, index: int) -> random.Random:
 
 
 def random_qi(rng: random.Random, mag: int = 4, imag_prob: float = 0.5) -> QiScalar:
-    re = (rng.randint(-mag, mag), rng.randint(1, mag))
+    re_n, re_d = _norm(rng.randint(-mag, mag), rng.randint(1, mag))
+    im_n, im_d = 0, 1
     if rng.random() < imag_prob:
-        im = (rng.randint(-mag, mag), rng.randint(1, mag))
-    else:
-        im = 0
-    return QiScalar(re, im)
+        im_n, im_d = _norm(rng.randint(-mag, mag), rng.randint(1, mag))
+    return QiScalar._raw(re_n, re_d, im_n, im_d)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int,
@@ -109,7 +108,7 @@ def random_symbol(rng: random.Random, max_roots: int = 3,
     roots = []
     while len(roots) < count:
         z = random_qi(rng, 3, imag_prob=0.4)
-        if z.modulus_sq() != 1:
+        if qi_modulus_cmp_one(z) != "equal":
             roots.append(z)
     while True:
         leading = random_qi(rng, 3, imag_prob=0.25)

@@ -88,27 +88,51 @@ class QiScalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    # add, sub and mul test for a QiScalar operand before coercing and skip
+    # _norm for a part whose denominators are both 1, whose result is
+    # already canonical; they are the hot path of every matrix product.
+
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        rn, rd = _norm(self.re_num * other.re_den + other.re_num * self.re_den,
-                       self.re_den * other.re_den)
-        im_n, im_d = _norm(self.im_num * other.im_den + other.im_num * self.im_den,
-                           self.im_den * other.im_den)
-        return QiScalar._raw(rn, rd, im_n, im_d)
+        if type(other) is not QiScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        out = object.__new__(QiScalar)
+        a_d, c_d = self.re_den, other.re_den
+        if a_d == 1 == c_d:
+            out.re_num, out.re_den = self.re_num + other.re_num, 1
+        else:
+            out.re_num, out.re_den = _norm(
+                self.re_num * c_d + other.re_num * a_d, a_d * c_d)
+        b_d, d_d = self.im_den, other.im_den
+        if b_d == 1 == d_d:
+            out.im_num, out.im_den = self.im_num + other.im_num, 1
+        else:
+            out.im_num, out.im_den = _norm(
+                self.im_num * d_d + other.im_num * b_d, b_d * d_d)
+        return out
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        rn, rd = _norm(self.re_num * other.re_den - other.re_num * self.re_den,
-                       self.re_den * other.re_den)
-        im_n, im_d = _norm(self.im_num * other.im_den - other.im_num * self.im_den,
-                           self.im_den * other.im_den)
-        return QiScalar._raw(rn, rd, im_n, im_d)
+        if type(other) is not QiScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        out = object.__new__(QiScalar)
+        a_d, c_d = self.re_den, other.re_den
+        if a_d == 1 == c_d:
+            out.re_num, out.re_den = self.re_num - other.re_num, 1
+        else:
+            out.re_num, out.re_den = _norm(
+                self.re_num * c_d - other.re_num * a_d, a_d * c_d)
+        b_d, d_d = self.im_den, other.im_den
+        if b_d == 1 == d_d:
+            out.im_num, out.im_den = self.im_num - other.im_num, 1
+        else:
+            out.im_num, out.im_den = _norm(
+                self.im_num * d_d - other.im_num * b_d, b_d * d_d)
+        return out
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -120,20 +144,31 @@ class QiScalar:
         return QiScalar._raw(-self.re_num, self.re_den, -self.im_num, self.im_den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not QiScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         a_n, a_d, b_n, b_d = self.re_num, self.re_den, self.im_num, self.im_den
         c_n, c_d, d_n, d_d = other.re_num, other.re_den, other.im_num, other.im_den
+        out = object.__new__(QiScalar)
         if b_n == 0 and d_n == 0:
-            rn, rd = _norm(a_n * c_n, a_d * c_d)
-            return QiScalar._raw(rn, rd, 0, 1)
-        # (a+bi)(c+di) = (ac - bd) + (ad + bc) i
-        rn, rd = _norm(a_n * c_n * b_d * d_d - b_n * d_n * a_d * c_d,
-                       a_d * c_d * b_d * d_d)
-        im_n, im_d = _norm(a_n * d_n * b_d * c_d + b_n * c_n * a_d * d_d,
-                           a_d * d_d * b_d * c_d)
-        return QiScalar._raw(rn, rd, im_n, im_d)
+            if a_d == 1 == c_d:
+                out.re_num, out.re_den = a_n * c_n, 1
+            else:
+                out.re_num, out.re_den = _norm(a_n * c_n, a_d * c_d)
+            out.im_num, out.im_den = 0, 1
+        elif a_d == 1 == c_d and b_d == 1 == d_d:
+            out.re_num, out.re_den = a_n * c_n - b_n * d_n, 1
+            out.im_num, out.im_den = a_n * d_n + b_n * c_n, 1
+        else:
+            # (a+bi)(c+di) = (ac - bd) + (ad + bc) i
+            out.re_num, out.re_den = _norm(
+                a_n * c_n * b_d * d_d - b_n * d_n * a_d * c_d,
+                a_d * c_d * b_d * d_d)
+            out.im_num, out.im_den = _norm(
+                a_n * d_n * b_d * c_d + b_n * c_n * a_d * d_d,
+                a_d * d_d * b_d * c_d)
+        return out
 
     __rmul__ = __mul__
 

@@ -21,8 +21,8 @@ from .randgen import (child_rng, random_commuting_pair, random_exact_sequence,
                       random_invertible, random_quadruple,
                       random_singular_d_quadruple, random_symbol)
 from .scalars import QiScalar
-from .toeplitz import (AnalyticSymbol, restriction_sequences, tame_symbol,
-                       toeplitz_joint_torsion)
+from .toeplitz import (AnalyticSymbol, restriction_data, restriction_sequences,
+                       tame_symbol, toeplitz_joint_torsion)
 
 
 def _matrix_payload(m: ExactMatrix) -> list:
@@ -139,11 +139,12 @@ def _suite_tame_oracle(seed, index):
     request = {"cmd": "toeplitz_exact",
                "payload": {"f": _symbol_payload(f), "g": _symbol_payload(g)}}
     results = []
-    machinery = toeplitz_joint_torsion(f, g)
+    data = restriction_data(f, g)
+    machinery = toeplitz_joint_torsion(data)
     oracle = tame_symbol(f, g)
     _check(results, "matrix model equals tame symbol", machinery == oracle,
            request)
-    eps_f, eps_g = restriction_sequences(f, g)
+    eps_f, eps_g = restriction_sequences(data)
     folded = pseudoinv_formula(eps_f, eps_g, 0, 0)
     _check(results, "folded determinant agrees", folded == machinery, request)
     return results

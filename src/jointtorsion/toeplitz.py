@@ -14,7 +14,9 @@ matrix-model joint torsion.
 
 from __future__ import annotations
 
+from .complexes import BasedExactSequence, ChainComplexSpec
 from .errors import DomainError
+from .koszul import RestrictionData
 from .linalg import ExactMatrix
 from .scalars import ONE, QiScalar, qi_modulus_cmp_one
 
@@ -27,7 +29,9 @@ class AnalyticSymbol:
     def __init__(self, leading: QiScalar, roots):
         if leading.is_zero():
             raise DomainError("leading coefficient must be nonzero")
-        roots = sorted(roots, key=_root_key)
+        roots = list(roots)
+        if len(roots) > 1:
+            roots.sort(key=_root_key)
         inside, outside = [], []
         for r in roots:
             where = qi_modulus_cmp_one(r)
@@ -115,19 +119,30 @@ def _check_acyclic(f: AnalyticSymbol, g: AnalyticSymbol) -> None:
             raise DomainError("Koszul complex not acyclic")
 
 
-def toeplitz_joint_torsion(f: AnalyticSymbol, g: AnalyticSymbol) -> QiScalar:
-    """Joint torsion of the commuting Toeplitz pair (T_f, T_g).
+def restriction_data(f: AnalyticSymbol, g: AnalyticSymbol) -> RestrictionData:
+    """The four Lefschetz blocks of the pair (T_f, T_g): kernels vanish,
+    cokernels are the finite models.  Each cokernel action is built once
+    here, and the joint torsion and the restriction sequences both read it."""
+    _check_acyclic(f, g)
+    empty = ExactMatrix.zero(0, 0)
+    return RestrictionData(
+        b_on_ker_a=empty,
+        b_on_coker_a=coker_action(f, g),
+        a_on_coker_b=coker_action(g, f),
+        a_on_ker_b=empty)
+
+
+def toeplitz_joint_torsion(data: RestrictionData) -> QiScalar:
+    """Joint torsion of the commuting Toeplitz pair (T_f, T_g), from its
+    ``restriction_data``.
 
     Both operators are injective, so only the cokernel blocks of the
     multiplicative Lefschetz ratio survive:
 
         det(g on C[z]/(f_in))^(-1) * det(f on C[z]/(g_in)).
     """
-    _check_acyclic(f, g)
-    g_on_f = coker_action(f, g)
-    f_on_g = coker_action(g, f)
-    det_g = g_on_f.determinant() if g_on_f.rows else ONE
-    det_f = f_on_g.determinant() if f_on_g.rows else ONE
+    det_g = data.b_on_coker_a.determinant()
+    det_f = data.a_on_coker_b.determinant()
     if det_g.is_zero() or det_f.is_zero():
         raise RuntimeError("internal: cokernel action singular despite "
                            "disjoint inside roots")
@@ -147,26 +162,10 @@ def tame_symbol(f: AnalyticSymbol, g: AnalyticSymbol) -> QiScalar:
     return numerator * denominator.inverse()
 
 
-def restriction_data(f: AnalyticSymbol, g: AnalyticSymbol):
-    """The four Lefschetz blocks of the pair (T_f, T_g): kernels vanish,
-    cokernels are the finite models."""
-    from .koszul import RestrictionData
-
-    _check_acyclic(f, g)
-    empty = ExactMatrix.zero(0, 0)
-    return RestrictionData(
-        b_on_ker_a=empty,
-        b_on_coker_a=coker_action(f, g),
-        a_on_coker_b=coker_action(g, f),
-        a_on_ker_b=empty)
-
-
-def restriction_sequences(f: AnalyticSymbol, g: AnalyticSymbol):
-    """The two eight-term sequences of the pair, degenerate except for the
-    cokernel isomorphisms; inputs for the folded-determinant formula."""
-    from .complexes import BasedExactSequence, ChainComplexSpec
-
-    _check_acyclic(f, g)
+def restriction_sequences(data: RestrictionData):
+    """The two eight-term sequences of the pair whose ``restriction_data``
+    is data, degenerate except for the cokernel isomorphisms; inputs for the
+    folded-determinant formula."""
     zero = ExactMatrix.zero
 
     def sequence(action: ExactMatrix) -> BasedExactSequence:
@@ -176,6 +175,4 @@ def restriction_sequences(f: AnalyticSymbol, g: AnalyticSymbol):
                  action, zero(0, m)]
         return BasedExactSequence(ChainComplexSpec(dims, diffs))
 
-    eps_f = sequence(coker_action(g, f))
-    eps_g = sequence(coker_action(f, g))
-    return eps_f, eps_g
+    return sequence(data.a_on_coker_b), sequence(data.b_on_coker_a)

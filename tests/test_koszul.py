@@ -230,6 +230,28 @@ def test_joint_torsion_pair_rejects_noncommuting():
         joint_torsion_pair(mat([[0, 1], [0, 0]]), mat([[0, 0], [1, 0]]))
 
 
+def test_pair_commutation_is_the_quadruple_check(monkeypatch):
+    # AB = BA is the AB = CD check of the quadruple (A, B, B, A), one
+    # product of its quad complex; no commutator is formed beside it
+    def refuse(self, other):
+        raise AssertionError("commutator formed")
+
+    monkeypatch.setattr(ExactMatrix, "commutator_with", refuse)
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    with pytest.raises(DomainError, match="^operators do not commute$"):
+        joint_torsion_pair(mat([[0, 1], [0, 0]]), mat([[0, 0], [1, 0]]))
+    assert len(products) == 1
+    a = mat([[1, 2], [0, 3]])
+    assert joint_torsion_pair(a, a.scale(2)) == QiScalar(1)
+
+
 # -- Lefschetz ratio and folded determinants ---------------------------------
 
 def test_lefschetz_identity_blocks():

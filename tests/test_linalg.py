@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointtorsion import (DomainError, ExactMatrix, QiScalar,
-                          build_subquotient, induced_map)
+                          build_subquotient, induced_map, linalg)
 from jointtorsion.linalg import _cleared_rows, _fraction_free, in_span
 from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
                                   random_qi, random_singularized)
@@ -659,3 +659,62 @@ def test_pseudoinverse_scatter_matches_product():
             m = random_matrix(rng, rows, cols, mag=3)
             for case in (m, rank_deficient(rng, m), ExactMatrix.zero(rows, cols)):
                 assert case.pseudoinverse() == reference_pseudoinverse(case)
+
+
+# -- empty shapes: no elimination and no scalar arithmetic -------------------
+
+EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0)]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the elimination kernels and scalar operations called."""
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(linalg, "_cleared_rows")
+    counting(linalg, "_fraction_free")
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        counting(QiScalar, op)
+    return calls
+
+
+@pytest.mark.parametrize("rows, cols", EMPTY_SHAPES)
+def test_empty_shapes_make_no_elimination(kernel_calls, rows, cols):
+    m = ExactMatrix.zero(rows, cols)
+    assert m.rank() == 0
+    assert m.kernel_basis() == ExactMatrix.identity(cols)
+    assert m.image_basis() == ExactMatrix.zero(rows, 0)
+    if rows == cols:
+        assert m.determinant() == ONE
+    else:
+        assert m.rref().determinant is None
+        with pytest.raises(DomainError, match="non-square"):
+            m.determinant()
+    for k in (0, 2):
+        assert m * ExactMatrix.zero(cols, k) == ExactMatrix.zero(rows, k)
+        assert ExactMatrix.zero(k, rows) * m == ExactMatrix.zero(k, cols)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("rows, cols", EMPTY_SHAPES)
+def test_empty_shapes_read_as_before(kernel_calls, rows, cols):
+    # the reduced form is the matrix itself and the transform the identity,
+    # as the elimination of [m | I] and the per-entry reference give them
+    m = ExactMatrix.zero(rows, cols)
+    res = m.rref()
+    assert res.pivots == ()
+    assert res.rref == m
+    assert res.transform == ExactMatrix.identity(rows)
+    assert res.transform * m == res.rref
+    assert m.pseudoinverse() == ExactMatrix.zero(cols, rows)
+    assert kernel_calls == []
+    assert_matches_reference(m)

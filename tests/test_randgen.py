@@ -1,0 +1,91 @@
+"""The random streams stay what they were: instances drawn from the same
+(seed, index) are the same scalars, symbols and matrices, drawn in the same
+order, however the generators build them."""
+
+import pytest
+
+from jointtorsion import ExactMatrix, QiScalar
+from jointtorsion.randgen import (child_rng, random_invertible, random_qi,
+                                  random_symbol)
+
+from test_linalg import reference_determinant
+
+SEEDS = range(200)
+
+
+# -- references: the generators as first written ----------------------------
+
+def reference_qi(rng, mag=4, imag_prob=0.5):
+    re = (rng.randint(-mag, mag), rng.randint(1, mag))
+    if rng.random() < imag_prob:
+        im = (rng.randint(-mag, mag), rng.randint(1, mag))
+    else:
+        im = 0
+    return QiScalar(re, im)
+
+
+def reference_symbol(rng, max_roots=3, min_roots=0):
+    """(leading, roots sorted by real and imaginary part, number of draws
+    on the unit circle that were redrawn)."""
+    count = rng.randint(min_roots, max_roots)
+    roots = []
+    redrawn = 0
+    while len(roots) < count:
+        z = reference_qi(rng, 3, imag_prob=0.4)
+        if z.modulus_sq() != 1:
+            roots.append(z)
+        else:
+            redrawn += 1
+    while True:
+        leading = reference_qi(rng, 3, imag_prob=0.25)
+        if not leading.is_zero():
+            break
+    return leading, tuple(sorted(roots, key=lambda r: (r.re, r.im))), redrawn
+
+
+def reference_invertible(rng, n, mag=4):
+    while True:
+        m = ExactMatrix(n, n, [reference_qi(rng, mag) for _ in range(n * n)])
+        if not reference_determinant(m).is_zero():
+            return m
+
+
+def streams(seed):
+    """Two generators in the same state."""
+    return child_rng(seed, 0), child_rng(seed, 0)
+
+
+# -- the pins ----------------------------------------------------------------
+
+@pytest.mark.parametrize("mag, imag_prob", [(4, 0.5), (3, 0.4), (1, 1.0),
+                                            (9, 0.0)])
+def test_random_qi_stream_is_pinned(mag, imag_prob):
+    for seed in SEEDS:
+        rng, ref = streams(seed)
+        for _ in range(10):
+            assert random_qi(rng, mag, imag_prob) == reference_qi(ref, mag,
+                                                                  imag_prob)
+        assert rng.random() == ref.random()
+
+
+def test_random_symbol_stream_is_pinned():
+    redrawn = 0
+    for seed in SEEDS:
+        rng, ref = streams(seed)
+        for max_roots, min_roots in ((3, 0), (2, 0), (3, 1)):
+            symbol = random_symbol(rng, max_roots, min_roots)
+            leading, roots, again = reference_symbol(ref, max_roots, min_roots)
+            assert symbol.leading == leading
+            assert symbol.roots == roots
+            redrawn += again
+        assert rng.random() == ref.random()
+    # roots on the unit circle (such as i or -1) were drawn and redrawn
+    assert redrawn > 0
+
+
+def test_random_invertible_stream_is_pinned():
+    for seed in SEEDS:
+        rng, ref = streams(seed)
+        n = 1 + seed % 4
+        assert random_invertible(rng, n) == reference_invertible(ref, n)
+        assert rng.random() == ref.random()

@@ -1,9 +1,10 @@
 """Field arithmetic, canonical form, and text round-trips for QiScalar."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtorsion import QiScalar, qi_modulus_cmp_one
@@ -131,3 +132,55 @@ def test_power_by_squaring():
     assert QiScalar(1, 1) ** -2 == QiScalar(0, (-1, 2))
     with pytest.raises(ZeroDivisionError):
         QiScalar(0) ** -1
+
+
+# -- field operations against a reference over pairs of Fractions ------------
+#
+# The strategies lean toward integer parts, zero imaginary parts and plain
+# int or Fraction operands, so that the paths for integral parts, real
+# operands and coercion all run.
+
+_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+_parts = st.one_of(_ints, _ints, st.fractions(max_denominator=60))
+_scalars = st.builds(QiScalar, _parts, st.one_of(st.just(0), _parts))
+_operands = st.one_of(_scalars, _scalars, _parts)
+
+
+def _pair(x):
+    """x as a (real, imaginary) pair of Fractions."""
+    if isinstance(x, QiScalar):
+        return Fraction(x.re_num, x.re_den), Fraction(x.im_num, x.im_den)
+    return Fraction(x), Fraction(0)
+
+
+def _reference(op, x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if op == "add":
+        return a + c, b + d
+    if op == "sub":
+        return a - c, b - d
+    return a * c - b * d, a * d + b * c
+
+
+def assert_canonical(x):
+    assert type(x) is QiScalar
+    for num, den in ((x.re_num, x.re_den), (x.im_num, x.im_den)):
+        assert type(num) is int and type(den) is int
+        # lowest terms with a positive denominator; gcd(0, den) = den, so
+        # zero must be 0/1
+        assert den > 0 and gcd(num, den) == 1
+
+
+@settings(max_examples=400)
+@given(_scalars, _operands)
+def test_field_operations_match_fraction_pairs(x, y):
+    for op, result, swapped in (("add", x + y, y + x),
+                                ("sub", x - y, y - x),
+                                ("mul", x * y, y * x)):
+        assert_canonical(result)
+        assert _pair(result) == _reference(op, x, y)
+        assert_canonical(swapped)
+        assert _pair(swapped) == _reference(op, y, x)
+    negated = -x
+    assert_canonical(negated)
+    assert _pair(negated) == (-_pair(x)[0], -_pair(x)[1])
