@@ -29,11 +29,6 @@ Conventions, fixed once and used everywhere:
   a signed r x r minor of d_{k+1}.  The top factor has r = 0, and when S_k
   is empty and T_{k+1} is every column the minor is d_{k+1} itself, whose
   determinant its rank computation already gave.
-
-* Direct sums concatenate bases first-summand-first.  The scalar torsion of
-  a direct sum is the product of the torsions times an explicit reordering
-  sign (see ``interleave_sign``); the sign is +1 in particular whenever one
-  summand has all even ranks.
 """
 
 from __future__ import annotations
@@ -97,34 +92,6 @@ class ChainComplexSpec:
         return [self._dims[k] - self.rank(k) - self.rank(k + 1)
                 for k in range(self.length + 1)]
 
-    def is_exact(self) -> bool:
-        return all(h == 0 for h in self.homology_dims())
-
-    def direct_sum(self, other: "ChainComplexSpec") -> "ChainComplexSpec":
-        n = max(self.length, other.length)
-        dims = [self._padded_dim(k) + other._padded_dim(k)
-                for k in range(n, -1, -1)]
-        diffs = []
-        for k in range(n, 0, -1):
-            a = self._padded_diff(k)
-            b = other._padded_diff(k)
-            diffs.append(_block_diag(a, b))
-        return ChainComplexSpec(dims, diffs)
-
-    def _padded_dim(self, k: int) -> int:
-        return self._dims[k] if k <= self.length else 0
-
-    def _padded_diff(self, k: int) -> ExactMatrix:
-        if k <= self.length:
-            return self.differential(k)
-        return ExactMatrix.zero(self._padded_dim(k - 1), 0)
-
-
-def _block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    top = a.hstack(ExactMatrix.zero(a.rows, b.cols))
-    bottom = ExactMatrix.zero(b.rows, a.cols).hstack(b)
-    return top.vstack(bottom)
-
 
 class BasedExactSequence:
     """An exact complex together with an ordered basis for each space."""
@@ -181,25 +148,6 @@ class BasedExactSequence:
             digest.update(";".join(e.to_text() for e in g.entries).encode())
         return digest.hexdigest()[:16]
 
-    def direct_sum(self, other: "BasedExactSequence") -> "BasedExactSequence":
-        cpx = self.complex.direct_sum(other.complex)
-        bases = [_block_diag(a, b) for a, b in
-                 zip(_padded_bases(self, cpx.length),
-                     _padded_bases(other, cpx.length))]
-        return BasedExactSequence(cpx, bases)
-
-
-def _padded_bases(seq: BasedExactSequence, n: int):
-    out = []
-    for k in range(n, -1, -1):
-        if k <= seq.length:
-            g = seq.basis(k)
-            out.append(g if g is not None
-                       else ExactMatrix.identity(seq.complex.dim(k)))
-        else:
-            out.append(ExactMatrix.identity(0))
-    return out
-
 
 def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
     """Torsion of a based exact sequence, per the conventions above: a
@@ -251,23 +199,3 @@ def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
         starred = (n - k) % 2 == 0
         value = value * (c.inverse() if starred else c)
     return value
-
-
-def interleave_sign(first: BasedExactSequence, second: BasedExactSequence) -> int:
-    """Reordering sign relating torsion of a direct sum to the product.
-
-    For degree-aligned summands of equal length,
-
-        torsion(first (+) second) = sign * torsion(first) * torsion(second)
-
-    with sign = (-1)^(sum_k rank1(d_k) * rank2(d_{k+1})): the parity of
-    interleaving the second summand's image generators past the first
-    summand's own generators inside each degree.  Summands of different
-    length additionally flip the shorter torsion's exponent pattern, so the
-    plain product law is stated for equal lengths only.
-    """
-    n = max(first.length, second.length)
-    total = 0
-    for k in range(n + 1):
-        total += first.complex.rank(k) * second.complex.rank(k + 1)
-    return -1 if total % 2 else 1

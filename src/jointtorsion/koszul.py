@@ -50,69 +50,11 @@ on a finite dimensional space it is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
 from .scalars import QiScalar
-
-
-class CommutingTuple:
-    """An exactly commuting tuple of square matrices on a common space."""
-
-    def __init__(self, ops):
-        ops = list(ops)
-        if not ops:
-            raise DomainError("empty tuple")
-        h = ops[0].rows
-        for m in ops:
-            if m.rows != h or m.cols != h:
-                raise DomainError("operators must be square on a common space")
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if not ops[i].commutator_with(ops[j]).is_zero():
-                    raise DomainError("operators do not commute")
-        self.ops = ops
-        self.n = len(ops)
-        self.dim = h
-
-
-def build_koszul(t: CommutingTuple) -> ChainComplexSpec:
-    """The Koszul complex of a commuting tuple.
-
-    Degree i has dimension h * C(n, i), with basis blocks indexed by the
-    lexicographically ordered i-element subsets of the operator indices.
-    The differential sends x (x) e_S to the alternating sum over k in S of
-    ops[k] x (x) e_{S\\k}, with sign (-1)^(position of k in S).
-    """
-    n, h = t.n, t.dim
-    subsets = [list(combinations(range(n), i)) for i in range(n + 1)]
-    index_of = [{s: j for j, s in enumerate(level)} for level in subsets]
-    diffs_top_down = []
-    for i in range(n, 0, -1):
-        rows = h * len(subsets[i - 1])
-        cols = h * len(subsets[i])
-        blocks = [[None] * len(subsets[i]) for _ in range(len(subsets[i - 1]))]
-        for s_idx, s in enumerate(subsets[i]):
-            for pos, k in enumerate(s):
-                target = tuple(x for x in s if x != k)
-                t_idx = index_of[i - 1][target]
-                op = t.ops[k] if pos % 2 == 0 else -t.ops[k]
-                existing = blocks[t_idx][s_idx]
-                blocks[t_idx][s_idx] = op if existing is None else existing + op
-        ent = []
-        for bi in range(len(subsets[i - 1])):
-            for r in range(h):
-                for bj in range(len(subsets[i])):
-                    block = blocks[bi][bj]
-                    if block is None:
-                        ent.extend([QiScalar(0)] * h)
-                    else:
-                        ent.extend(block.row(r))
-        diffs_top_down.append(ExactMatrix(rows, cols, ent))
-    dims_top_down = [h * len(subsets[i]) for i in range(n, -1, -1)]
-    return ChainComplexSpec(dims_top_down, diffs_top_down)
 
 
 class KoszulQuadruple:
@@ -316,29 +258,6 @@ def joint_torsion_pair(a: ExactMatrix, b: ExactMatrix) -> QiScalar:
     return joint_torsion_quad(q).value
 
 
-@dataclass
-class RestrictionData:
-    """The four restricted blocks of a commuting pair with acyclic Koszul
-    complex: B on ker A, B on coker A, A on coker B, A on ker B."""
-    b_on_ker_a: ExactMatrix
-    b_on_coker_a: ExactMatrix
-    a_on_coker_b: ExactMatrix
-    a_on_ker_b: ExactMatrix
-
-
-def lefschetz_ratio(r: RestrictionData) -> QiScalar:
-    """det(B|ker A) det(B|coker A)^-1 det(A|coker B) det(A|ker B)^-1."""
-    dets = []
-    for block in (r.b_on_ker_a, r.b_on_coker_a, r.a_on_coker_b, r.a_on_ker_b):
-        if not block.is_square():
-            raise DomainError("restriction blocks must be square")
-        det = block.determinant()
-        if det.is_zero():
-            raise DomainError("pair not acyclic")
-        dets.append(det)
-    return dets[0] * dets[1].inverse() * dets[2] * dets[3].inverse()
-
-
 def graded_determinant(seq: BasedExactSequence) -> QiScalar:
     """det(D_+ + D_-^dagger) for the even/odd folding of an exact sequence.
 
@@ -429,14 +348,6 @@ def pseudoinv_formula(eps_a: BasedExactSequence, eps_b: BasedExactSequence,
                 + _rank_parity_correction(eps_b))
     value = det_a * det_b.inverse()
     return -value if exponent % 2 else value
-
-
-def det_commutator(a: ExactMatrix, b: ExactMatrix) -> QiScalar:
-    """Exact determinant of A B A^-1 B^-1; always 1 in finite dimension."""
-    for m in (a, b):
-        if not m.is_square() or m.determinant().is_zero():
-            raise DomainError("singular input")
-    return (a * b * a.inverse() * b.inverse()).determinant()
 
 
 FACTORIZATION_SELECTORS = ("sigma-conjugate", "sigma-right-shift",

@@ -435,9 +435,6 @@ class ExactMatrix:
             ent[pcol * n:(pcol + 1) * n] = res.transform.row(j)
         return ExactMatrix(self.cols, n, ent)
 
-    def commutator_with(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self * other - other * self
-
 
 class RrefResult:
     """The reduced row echelon form ``rref`` of a matrix m, its ``pivots``
@@ -513,7 +510,8 @@ def _block(rows, slots, last, rank, start, width) -> ExactMatrix:
 
 
 def in_span(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
-    """Exact containment test span(vectors) <= span(basis)."""
+    """Exact containment test span(vectors) <= span(basis).  Only tests
+    call it; it stays while the benchmark's tracer wraps it."""
     if vectors.cols == 0:
         return True
     return basis.hstack(vectors).rank() == basis.rank()

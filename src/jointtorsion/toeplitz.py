@@ -10,13 +10,18 @@ that quotient through the companion recurrence.  The determinant of that
 action is the product of the symbol's values at the inside roots, which is
 what makes the closed-form tame symbol an independent oracle for the
 matrix-model joint torsion.
+
+``RestrictionData`` holds the two cokernel actions of a pair, built once by
+``restriction_data``; ``toeplitz_joint_torsion`` and
+``restriction_sequences`` both read it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .complexes import BasedExactSequence, ChainComplexSpec
 from .errors import DomainError
-from .koszul import RestrictionData
 from .linalg import ExactMatrix
 from .scalars import ONE, QiScalar, qi_modulus_cmp_one
 
@@ -46,10 +51,6 @@ class AnalyticSymbol:
     @property
     def winding(self) -> int:
         return len(self.inside_roots)
-
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
 
     def evaluate(self, z: QiScalar) -> QiScalar:
         value = self.leading
@@ -119,25 +120,27 @@ def _check_acyclic(f: AnalyticSymbol, g: AnalyticSymbol) -> None:
             raise DomainError("Koszul complex not acyclic")
 
 
+@dataclass
+class RestrictionData:
+    """The cokernel blocks of a commuting pair (A, B) = (T_f, T_g): B on
+    coker A and A on coker B.  Both operators are injective, so these are
+    the only blocks that are not empty."""
+    b_on_coker_a: ExactMatrix
+    a_on_coker_b: ExactMatrix
+
+
 def restriction_data(f: AnalyticSymbol, g: AnalyticSymbol) -> RestrictionData:
-    """The four Lefschetz blocks of the pair (T_f, T_g): kernels vanish,
-    cokernels are the finite models.  Each cokernel action is built once
-    here, and the joint torsion and the restriction sequences both read it."""
+    """The cokernel blocks of the pair (T_f, T_g), on the finite models."""
     _check_acyclic(f, g)
-    empty = ExactMatrix.zero(0, 0)
-    return RestrictionData(
-        b_on_ker_a=empty,
-        b_on_coker_a=coker_action(f, g),
-        a_on_coker_b=coker_action(g, f),
-        a_on_ker_b=empty)
+    return RestrictionData(b_on_coker_a=coker_action(f, g),
+                           a_on_coker_b=coker_action(g, f))
 
 
 def toeplitz_joint_torsion(data: RestrictionData) -> QiScalar:
     """Joint torsion of the commuting Toeplitz pair (T_f, T_g), from its
     ``restriction_data``.
 
-    Both operators are injective, so only the cokernel blocks of the
-    multiplicative Lefschetz ratio survive:
+    Both operators are injective, so only the cokernel blocks contribute:
 
         det(g on C[z]/(f_in))^(-1) * det(f on C[z]/(g_in)).
     """

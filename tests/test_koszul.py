@@ -1,16 +1,16 @@
 """Koszul complexes, long exact sequences, perturbation scalars, joint
 torsion, and the folded-determinant formula."""
 
+from collections import Counter
+
 import pytest
 
-from jointtorsion import (BasedExactSequence, CommutingTuple, DomainError,
-                          ExactMatrix,
-                          KoszulQuadruple, QiScalar, RestrictionData,
-                          build_eps_sequences, build_koszul, det_commutator,
+from jointtorsion import (BasedExactSequence, DomainError, ExactMatrix,
+                          KoszulQuadruple, QiScalar, build_eps_sequences,
                           factorization_identities, graded_determinant,
                           joint_torsion_pair, joint_torsion_quad,
-                          lefschetz_ratio, perturbation_sigma,
-                          pseudoinv_formula, torsion_scalar)
+                          perturbation_sigma, pseudoinv_formula,
+                          torsion_scalar)
 from jointtorsion import linalg
 from jointtorsion.koszul import QuadHomology
 from jointtorsion.randgen import (child_rng, random_commuting_pair,
@@ -30,29 +30,6 @@ ONE1 = mat([[1]])
 
 # -- complex builders ------------------------------------------------------
 
-def test_koszul_single_operator():
-    c = build_koszul(CommutingTuple([mat([[2, 1], [0, 2]])]))
-    assert c.dims_by_degree == [2, 2]
-    assert c.differential(1) == mat([[2, 1], [0, 2]])
-
-
-def test_koszul_pair_of_zeros_homology():
-    c = build_koszul(CommutingTuple([ZERO1, ZERO1]))
-    assert c.homology_dims() == [1, 2, 1]
-
-
-def test_koszul_pair_of_identities_acyclic():
-    c = build_koszul(CommutingTuple([ONE1, ONE1]))
-    assert c.homology_dims() == [0, 0, 0]
-
-
-def test_koszul_rejects_noncommuting():
-    a = mat([[0, 1], [0, 0]])
-    b = mat([[0, 0], [1, 0]])
-    with pytest.raises(DomainError, match="commute"):
-        CommutingTuple([a, b])
-
-
 def test_quad_complex_zero_homology_dims():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
     assert q.complex.homology_dims() == [1, 2, 1]
@@ -69,14 +46,14 @@ def test_quad_complex_rejects_mismatch():
 
 
 def test_quad_matches_koszul_for_commuting_pair():
+    # the Koszul complex of a commuting pair (A, B), built by hand:
+    # d2 = (-B; A) and d1 = (A, B)
     rng = child_rng(17, 0)
     for _ in range(5):
         a, b = random_commuting_pair(rng, rng.randint(1, 3))
-        koszul = build_koszul(CommutingTuple([a, b]))
         quad = KoszulQuadruple(a, b, b, a).complex
-        assert koszul.homology_dims() == quad.homology_dims()
-        assert quad.differential(2) == koszul.differential(2)
-        assert quad.differential(1) == koszul.differential(1)
+        assert quad.differential(2) == (-b).vstack(a)
+        assert quad.differential(1) == a.hstack(b)
 
 
 # -- eps sequences ---------------------------------------------------------
@@ -233,10 +210,6 @@ def test_joint_torsion_pair_rejects_noncommuting():
 def test_pair_commutation_is_the_quadruple_check(monkeypatch):
     # AB = BA is the AB = CD check of the quadruple (A, B, B, A), one
     # product of its quad complex; no commutator is formed beside it
-    def refuse(self, other):
-        raise AssertionError("commutator formed")
-
-    monkeypatch.setattr(ExactMatrix, "commutator_with", refuse)
     products = []
     multiply = ExactMatrix.__mul__
 
@@ -252,26 +225,7 @@ def test_pair_commutation_is_the_quadruple_check(monkeypatch):
     assert joint_torsion_pair(a, a.scale(2)) == QiScalar(1)
 
 
-# -- Lefschetz ratio and folded determinants ---------------------------------
-
-def test_lefschetz_identity_blocks():
-    blocks = RestrictionData(*(ExactMatrix.identity(2) for _ in range(4)))
-    assert lefschetz_ratio(blocks) == QiScalar(1)
-
-
-def test_lefschetz_toeplitz_model_values():
-    empty = ExactMatrix.zero(0, 0)
-    r = RestrictionData(empty, mat([["1/6"]]), mat([["-1/6"]]), empty)
-    assert lefschetz_ratio(r) == QiScalar(-1)
-    r2 = RestrictionData(empty, mat([["-3/2"]]), empty, empty)
-    assert lefschetz_ratio(r2) == QiScalar((-2, 3))
-
-
-def test_lefschetz_rejects_singular_block():
-    empty = ExactMatrix.zero(0, 0)
-    with pytest.raises(DomainError, match="pair not acyclic"):
-        lefschetz_ratio(RestrictionData(empty, ZERO1, empty, empty))
-
+# -- folded determinants ------------------------------------------------------
 
 def test_graded_determinant_equals_torsion():
     rng = child_rng(17, 9)
@@ -314,33 +268,6 @@ def test_pseudoinv_formula_matches_pipeline_on_pairs():
         mu_b = (b.cols - b.rank()) ** 2
         value = pseudoinv_formula(eps_a, eps_b, mu_a, mu_b)
         assert value == joint_torsion_pair(a, b)
-
-
-# -- determinant of the multiplicative commutator ----------------------------
-
-def test_det_commutator_commuting():
-    a = mat([[2, 0], [0, 3]])
-    b = mat([[5, 0], [0, 7]])
-    assert det_commutator(a, b) == QiScalar(1)
-
-
-def test_det_commutator_triangular_pair():
-    assert (det_commutator(mat([[1, 1], [0, 1]]), mat([[1, 0], [0, 2]]))
-            == QiScalar(1))
-
-
-def test_det_commutator_random():
-    rng = child_rng(17, 12)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        a = random_invertible(rng, n)
-        b = random_invertible(rng, n)
-        assert det_commutator(a, b) == QiScalar(1)
-
-
-def test_det_commutator_rejects_singular():
-    with pytest.raises(DomainError, match="singular input"):
-        det_commutator(ZERO1, ONE1)
 
 
 # -- factorization identities -------------------------------------------------
@@ -408,17 +335,28 @@ def assert_matches_hand_built_spaces(q):
         assert sq.project_map == project
 
 
+SIGN_EXPONENTS = ("lambda_exp", "pairing_exp", "kappa_A", "kappa_B",
+                  "kappa_C", "kappa_D")
+
+
 def test_quad_homology_matches_hand_built_spaces_on_singular_d():
-    seen = {"ker_D": 0, "ker_B_cap_ker_D": 0, "H0": 0}
+    # The family reaches every sign term of the joint torsion: each of the
+    # eleven spaces is nonzero and each sign exponent takes both parities
+    # in some instance, so value == 1 here checks every term.
+    nonzero = Counter()
+    parities = {name: set() for name in SIGN_EXPONENTS}
     for index in range(40):
         rng = child_rng(29, index)
         q = random_singular_d_quadruple(rng, 2 + index % 3)
         assert_matches_hand_built_spaces(q)
         report = joint_torsion_quad(q)
         assert report.value == QiScalar(1)
-        for label in seen:
-            seen[label] += report.homology_dims[label] > 0
-    assert all(count > 0 for count in seen.values()), seen
+        for label, dim in report.homology_dims.items():
+            nonzero[label] += dim > 0
+        for name in parities:
+            parities[name].add(getattr(report, name) % 2)
+    assert len(nonzero) == 11 and all(nonzero.values()), nonzero
+    assert all(seen == {0, 1} for seen in parities.values()), parities
 
 
 def test_quad_homology_matches_hand_built_spaces_on_invertible_d():

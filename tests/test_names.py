@@ -1,7 +1,8 @@
 """Every public name resolves, every name the benchmark's tracer wraps
 still exists in the package, so that a traced run (``--trace 1``) cannot
-break silently when a name is deleted or renamed, and README's list of
-suites is the package's.
+break silently when a name is deleted or renamed, README's list of
+suites is the package's, and every name README says the package computes
+is one it exports.
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
 are plain literals.
@@ -37,10 +38,24 @@ def module(name: str):
     return importlib.import_module(f"jointtorsion.{name}")
 
 
+def readme_computed_names() -> list:
+    """The leading identifier of every backticked span in README's "What it
+    computes" section."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("## What it computes")
+    section = text[start:text.index("\n## ", start + 1)]
+    return re.findall(r"`([A-Za-z_]\w*)", section)
+
+
 def test_every_public_name_resolves():
     assert len(set(jointtorsion.__all__)) == len(jointtorsion.__all__)
     for name in jointtorsion.__all__:
         assert hasattr(jointtorsion, name), name
+    documented = readme_computed_names()
+    assert documented
+    for name in documented:
+        assert hasattr(jointtorsion, name), f"README names {name}"
 
 
 def test_every_traced_name_exists():

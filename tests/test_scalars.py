@@ -121,19 +121,6 @@ def test_fraction_accessors():
     assert x.im == Fraction(-1, 2)
 
 
-def test_power_by_squaring():
-    x = QiScalar((2, 3), (-1, 5))
-    assert x ** 0 == QiScalar(1)
-    assert QiScalar(0) ** 0 == QiScalar(1)
-    assert x ** 1 == x
-    assert x ** 5 == x * x * x * x * x
-    assert x ** -3 == (x * x * x).inverse()
-    assert QiScalar(1, 1) ** 64 == QiScalar(2 ** 32)
-    assert QiScalar(1, 1) ** -2 == QiScalar(0, (-1, 2))
-    with pytest.raises(ZeroDivisionError):
-        QiScalar(0) ** -1
-
-
 # -- field operations against a reference over pairs of Fractions ------------
 #
 # The strategies lean toward integer parts, zero imaginary parts and plain

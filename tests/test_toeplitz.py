@@ -4,8 +4,8 @@ torsion versus the tame-symbol oracle, and the Steinberg relations."""
 import pytest
 
 from jointtorsion import (AnalyticSymbol, DomainError, ExactMatrix, QiScalar,
-                          coker_action, joint_torsion_pair, lefschetz_ratio,
-                          pseudoinv_formula, restriction_data,
+                          coker_action, joint_torsion_pair, pseudoinv_formula,
+                          restriction_data,
                           restriction_sequences, tame_symbol,
                           toeplitz_joint_torsion)
 from jointtorsion import linalg
@@ -162,14 +162,6 @@ def test_steinberg_one_minus_a():
         one_minus_f = AnalyticSymbol(-c, [c.inverse()])
         assert tame_symbol(f, one_minus_f) == QiScalar(1)
         checked += 1
-
-
-def test_lefschetz_blocks_from_cokernel_models():
-    f = sym(1, [QiScalar((1, 2))])
-    g = sym(1, [QiScalar((1, 3))])
-    assert lefschetz_ratio(restriction_data(f, g)) == QiScalar(-1)
-    g_out = sym(1, [QiScalar(2)])
-    assert lefschetz_ratio(restriction_data(f, g_out)) == QiScalar((-2, 3))
 
 
 def test_pseudoinv_formula_on_toeplitz_models():
