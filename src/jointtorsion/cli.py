@@ -6,14 +6,15 @@ command lives inside the request, so suites are plain data:
     echo '{"cmd": "joint_torsion_quad", "payload": {...}}' | jointtorsion
     jointtorsion --suite finite-triviality --seed 7 --count 200
 
-Exit codes: 0 success, 2 domain error (a module precondition failed),
-3 parse error (malformed JSON or a payload that does not match the
-command's schema, including scalar text outside the ASCII grammar, a
-negative dimension, a seed that is not an integer and a trig coefficient
-that is a boolean or not a finite number; messages carry the JSON path),
-4 internal error (any other exception; the body is {"error": "..."}, never
-a traceback).  Output bytes are identical for identical (request, seed);
-wall-clock timing is only included when the request sets "timing": true.
+Exit codes: 0 success, 2 domain error (a module precondition failed, or a
+quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``), 3 parse error (malformed
+JSON or a payload that does not match the command's schema, including
+scalar text outside the ASCII grammar, a negative dimension, a seed that
+is not an integer and a trig coefficient that is a boolean or not a finite
+number; messages carry the JSON path), 4 internal error (any other
+exception; the body is {"error": "..."}, never a traceback).  Output bytes
+are identical for identical (request, seed); wall-clock timing is only
+included when the request sets "timing": true.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .toeplitz import (AnalyticSymbol, restriction_data, tame_symbol,
 
 _COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
              "toeplitz_exact", "toeplitz_numeric", "verify")
+
+# A dim-20 quadruple with invertible D takes 7-9 s on a 2-vCPU machine, and
+# the cost grows about 5x per four dimensions.
+_MAX_OPERATOR_DIM = 20
 
 
 class SchemaError(ValueError):
@@ -91,6 +96,15 @@ def _matrix(value, rows: int, cols: int, path: str) -> ExactMatrix:
                           f"({rows}x{cols} row-major), got {len(items)}")
     return ExactMatrix(rows, cols,
                        [_scalar(v, f"{path}[{i}]") for i, v in enumerate(items)])
+
+
+def _operator_dim(payload: dict) -> int:
+    """The ``dim`` of a quad or pair request, capped before any matrix is
+    read."""
+    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
+    if dim > _MAX_OPERATOR_DIM:
+        raise DomainError(f"dim {dim} exceeds the cap of {_MAX_OPERATOR_DIM}")
+    return dim
 
 
 def _square(payload: dict, key: str, dim: int, path: str) -> ExactMatrix:
@@ -171,7 +185,7 @@ def _handle_torsion(payload: dict) -> dict:
 
 
 def _handle_pair(payload: dict) -> dict:
-    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
+    dim = _operator_dim(payload)
     a = _square(payload, "a", dim, "$.payload")
     b = _square(payload, "b", dim, "$.payload")
     try:
@@ -183,7 +197,7 @@ def _handle_pair(payload: dict) -> dict:
 
 
 def _handle_quad(payload: dict) -> dict:
-    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
+    dim = _operator_dim(payload)
     q = KoszulQuadruple(*(_square(payload, key, dim, "$.payload")
                           for key in ("a", "b", "c", "d")))
     report = joint_torsion_quad(q)

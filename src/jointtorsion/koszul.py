@@ -382,30 +382,32 @@ def factorization_identities(q: KoszulQuadruple, u: ExactMatrix, which: str):
     h = q.dim
     zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
 
+    def t_ker(x, x2):
+        """t(U^-1 | ker x), onto ker x2."""
+        return induced_map(u_inv, build_subquotient(x, zero_in),
+                           build_subquotient(x2, zero_in)).determinant()
+
+    def t_coker(x, x2):
+        """t(U^-1 | coker x), onto coker x2."""
+        return induced_map(u_inv, build_subquotient(zero_out, x),
+                           build_subquotient(zero_out, x2)).determinant()
+
     if which == "sigma-conjugate":
         d2 = u_inv * d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = induced_map(u_inv, build_subquotient(d, zero_in),
-                            build_subquotient(d2, zero_in)).determinant()
-        t_coker = induced_map(u_inv, build_subquotient(zero_out, d),
-                              build_subquotient(zero_out, d2)).determinant()
-        rhs = perturbation_sigma(a, d) * t_ker * t_coker.inverse()
+        rhs = (perturbation_sigma(a, d) * t_ker(d, d2)
+               * t_coker(d, d2).inverse())
         return lhs, rhs
     if which == "sigma-right-shift":
         a2, d2 = a * u, d * u
         lhs = perturbation_sigma(a2, d2)
-        t_ker_a = induced_map(u_inv, build_subquotient(a, zero_in),
-                              build_subquotient(a2, zero_in)).determinant()
-        t_ker_d = induced_map(u_inv, build_subquotient(d, zero_in),
-                              build_subquotient(d2, zero_in)).determinant()
-        rhs = perturbation_sigma(a, d) * t_ker_a.inverse() * t_ker_d
+        rhs = (perturbation_sigma(a, d) * t_ker(a, a2).inverse()
+               * t_ker(d, d2))
         return lhs, rhs
     if which == "sigma-det-class":
         d2 = d * u
         lhs = perturbation_sigma(a, d2)
-        t_ker = induced_map(u_inv, build_subquotient(d, zero_in),
-                            build_subquotient(d2, zero_in)).determinant()
-        rhs = perturbation_sigma(a, d) * t_ker * u.determinant()
+        rhs = perturbation_sigma(a, d) * t_ker(d, d2) * u.determinant()
         return lhs, rhs
     if which == "quad-conjugate":
         lhs = joint_torsion_quad(

@@ -20,11 +20,12 @@ the matrices whose reduced form or transform is read.
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
 basis, a representative basis whose classes form a basis of the quotient,
-and a projection onto coordinates in that basis.  One elimination beyond
-the reductions of f and g builds them and decides whether im g lies in
-ker f.  Induced maps on subquotients are then ordinary matrix products, and
-whether a map descends is checked exactly by products with the cycle map
-and the projection, without eliminating.
+and a projection onto coordinates in that basis.  A product decides
+whether im g lies in ker f, and one elimination of the boundaries in cycle
+coordinates, beyond the reductions of f and g, builds the rest.  Induced
+maps on subquotients are then ordinary matrix products, and whether a map
+descends is checked exactly by products with the cycle map and the
+projection, without eliminating.
 """
 
 from __future__ import annotations
@@ -558,30 +559,29 @@ class Subquotient:
 def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
     """Construct the based subquotient ker f / im g, with f as its cycle map.
 
-    The cycles are f's kernel basis and the boundaries g's image basis.
-    One elimination of [boundaries | cycles | I] gives the rest.  Under the
-    leftmost-pivot rule its pivots in the boundaries block are all of that
-    block, those in the cycles block pick the representative columns, which
-    extend the boundaries to a basis of the span of both blocks, and those
-    in the identity block a standard complement.  The matrix has full row
-    rank, so its reduced identity block is the inverse T of the pivot-column
-    basis, and the projection is T's rows at the representative pivots.
-    Both blocks have independent columns, so im g lies in ker f exactly
-    when the first two blocks hold as many pivots as there are cycles.
+    The cycles are f's kernel basis, the boundaries g's image basis, which
+    f must kill.  A cycle's coordinates are its entries at f's free columns,
+    so one elimination of [B | P], the rows of the boundaries and of I at
+    those columns, gives the rest.  Its pivots in B are all of B, those in
+    P the free columns of the representatives, which extend the boundaries
+    to a basis of the cycles.  Its reduced P rows past the boundaries are
+    the projection: they kill the boundaries and f's pivot columns, the
+    standard complement of the cycles.
     """
     if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
-    n = f.cols
     cycles, boundaries = f.kernel_basis(), g.image_basis()
-    nb, nc = boundaries.cols, cycles.cols
-    stacked = boundaries.hstack(cycles).hstack(ExactMatrix.identity(n))
+    if not (f * boundaries).is_zero():
+        raise DomainError("not a subquotient")
+    n, nb, pivot_set = f.cols, boundaries.cols, set(f.rref().pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    ident = ExactMatrix.identity(n)
+    stacked = ExactMatrix(len(free), nb + n, [
+        e for j in free for e in boundaries.row(j) + ident.row(j)])
     rows, slots = _cleared_rows(stacked)
     pivots, last, _ = _fraction_free(rows, slots, stacked.cols, jordan=True)
-    reps = [p - nb for p in pivots if nb <= p < nb + nc]
-    if nb + len(reps) != nc:
-        raise DomainError("not a subquotient")
-    # T's rows at the representative pivots are rows nb .. nc - 1
-    project = _block(rows[nb:nc], slots, last, len(reps), nb + nc, n)
+    reps = [free.index(p - nb) for p in pivots[nb:]]
+    project = _block(rows[nb:], slots, last, len(reps), nb, n)
     return Subquotient(f, boundaries, cycles.select_columns(reps), project)
 
 

@@ -291,6 +291,17 @@ def test_truncation_size_over_the_cap_exits_2(monkeypatch, capsys):
                  f"{fredholm._MAX_DIM}"}
 
 
+@pytest.mark.parametrize("cmd", ["joint_torsion_quad", "joint_torsion_pair"])
+def test_operator_dim_over_the_cap_exits_2(cmd):
+    # rejected before any matrix is read, so the missing ones are no
+    # schema error
+    dim = cli._MAX_OPERATOR_DIM + 1
+    proc = invoke({"cmd": cmd, "payload": {"dim": dim}})
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": f"dim {dim} exceeds the cap of {cli._MAX_OPERATOR_DIM}"}
+
+
 def test_trig_poly_over_the_span_cap_exits_2(monkeypatch, capsys):
     def refuse(poly):
         raise AssertionError("summed an exponential series")

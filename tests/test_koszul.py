@@ -312,21 +312,28 @@ def test_factorization_rejects_singular_u():
 # -- quadruples with singular D; homology read from the quad complex ----------
 
 def reference_quad_spaces(q):
-    """The cycles and boundaries of H2, H1 and H0, built by hand from the
-    blocks of the quadruple."""
+    """The cycles and boundaries of all eleven spaces, built by hand from
+    the blocks of the quadruple."""
     h = q.dim
-    return {
+    spaces = {}
+    for name, x in zip("ABCD", (q.a, q.b, q.c, q.d)):
+        spaces[f"ker_{name}"] = (x.kernel_basis(), ExactMatrix.zero(h, 0))
+        spaces[f"coker_{name}"] = (ExactMatrix.identity(h), x.image_basis())
+    spaces.update({
         "ker_B_cap_ker_D": (q.b.vstack(q.d).kernel_basis(),
                             ExactMatrix.zero(h, 0)),
         "H1": (q.a.hstack(q.c).kernel_basis(),
                (-q.b).vstack(q.d).image_basis()),
         "H0": (ExactMatrix.identity(h), q.a.hstack(q.c).image_basis()),
-    }
+    })
+    return spaces
 
 
 def assert_matches_hand_built_spaces(q):
     spaces = QuadHomology(q).spaces
-    for label, (cycles, boundaries) in reference_quad_spaces(q).items():
+    reference = reference_quad_spaces(q)
+    assert reference.keys() == spaces.keys()
+    for label, (cycles, boundaries) in reference.items():
         sq = spaces[label]
         assert sq.cycle_map.kernel_basis() == cycles
         assert sq.boundary_basis == boundaries
@@ -361,7 +368,7 @@ def test_quad_homology_matches_hand_built_spaces_on_singular_d():
 
 def test_quad_homology_matches_hand_built_spaces_on_invertible_d():
     for index in range(10):
-        q = random_quadruple(child_rng(29, 100 + index), 2 + index % 3, mag=3)
+        q = random_quadruple(child_rng(29, 100 + index), 2 + index % 7, mag=3)
         assert_matches_hand_built_spaces(q)
 
 

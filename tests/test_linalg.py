@@ -11,7 +11,8 @@ from jointtorsion import (DomainError, ExactMatrix, QiScalar,
                           build_subquotient, induced_map, linalg)
 from jointtorsion.linalg import _cleared_rows, _fraction_free, in_span
 from jointtorsion.randgen import (child_rng, random_invertible, random_matrix,
-                                  random_qi, random_singularized)
+                                  random_qi, random_singular_d_quadruple,
+                                  random_singularized)
 from jointtorsion.scalars import ONE, ZERO
 
 
@@ -144,6 +145,45 @@ def test_build_subquotient_containment_checked():
     # ker [0 1] is spanned by e1, and im g by e2
     with pytest.raises(DomainError, match="not a subquotient"):
         build_subquotient(mat([[0, 1]]), mat([[0], [1]]))
+
+
+def cokernel_of_invertible():
+    return ExactMatrix.zero(0, 4), random_invertible(child_rng(5, 9), 4, mag=3)
+
+
+def kernel_of_rank_deficient():
+    f = mat([[1, 2, 0, "i"], [0, 1, 1, 0], [1, 3, 1, "i"], [2, 4, 0, "2i"]])
+    return f, ExactMatrix.zero(4, 0)
+
+
+def h1_of_dim16_singular_d():
+    quad = random_singular_d_quadruple(child_rng(1, 0), 16).complex
+    return quad.differential(1), quad.differential(2)
+
+
+@pytest.mark.parametrize("case, shape", [
+    (cokernel_of_invertible, (4, 8)),
+    (kernel_of_rank_deficient, (2, 4)),
+    (h1_of_dim16_singular_d, (16, 48)),
+])
+def test_subquotient_eliminates_boundaries_in_cycle_coordinates(
+        monkeypatch, case, shape):
+    # Once f and g are reduced, ker f / im g is one elimination of the
+    # boundaries' rows at f's free columns beside those rows of I:
+    # (n - rank f) x (rank g + n).
+    f, g = case()
+    f.kernel_basis(), g.image_basis()
+    assert shape == (f.cols - f.rank(), g.rank() + f.cols)
+    shapes = []
+    clear = linalg._cleared_rows
+
+    def recorded(m):
+        shapes.append((m.rows, m.cols))
+        return clear(m)
+
+    monkeypatch.setattr(linalg, "_cleared_rows", recorded)
+    build_subquotient(f, g)
+    assert shapes == [shape]
 
 
 def test_subquotient_projection_section_identity():
