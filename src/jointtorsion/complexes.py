@@ -149,30 +149,14 @@ class BasedExactSequence:
         return digest.hexdigest()[:16]
 
 
-def torsion_scalar(seq: BasedExactSequence, selector=None) -> QiScalar:
+def torsion_scalar(seq: BasedExactSequence) -> QiScalar:
     """Torsion of a based exact sequence, per the conventions above: a
-    nonzero scalar (a vanishing factor is an internal error).
-
-    ``selector`` optionally overrides the generator choice: it gets the
-    degree and the differential and must return column indices on which the
-    differential is injective with full image rank.  Any valid selection
-    yields the same value; this hook exists so tests can prove that.
-    """
+    nonzero scalar (a vanishing factor is an internal error)."""
     cpx = seq.complex
     n = cpx.length
     selections = {0: [], n + 1: []}
     for k in range(1, n + 1):
-        d = cpx.differential(k)
-        if selector is None:
-            selections[k] = list(d.rref().pivots)
-        else:
-            # The order of a selection is immaterial: it permutes the
-            # columns of two adjacent factors with opposite exponents.
-            chosen = sorted(selector(k, d))
-            sub = d.select_columns(chosen)
-            if len(chosen) != cpx.rank(k) or sub.rank() != cpx.rank(k):
-                raise DomainError("invalid generator selection")
-            selections[k] = chosen
+        selections[k] = list(cpx.differential(k).rref().pivots)
     value = ONE
     for k in range(n, -1, -1):
         d_up = cpx.differential(k + 1)

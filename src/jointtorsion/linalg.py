@@ -13,9 +13,11 @@ picks the same pivots as plain Gauss-Jordan over Q(i), and every basis,
 transform and determinant equals the one plain elimination gives.
 
 A matrix is eliminated forward once, and that one pass gives its pivots,
-its rank and, when it is square, its determinant.  The Gauss-Jordan pass
-over [m | I] that yields the reduced form and the transform runs only for
-the matrices whose reduced form or transform is read.
+its rank and, when it is square, its determinant.  Every elimination
+reduces only the rows and columns its caller reads: a Gauss-Jordan pass
+runs only for the matrices whose reduced form (over m alone) or transform
+(over [m | I]) is read, and a subquotient back-substitutes only the rows
+of its projection.
 
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
@@ -120,15 +122,20 @@ def _cleared_rows(m: "ExactMatrix"):
             for re, im, den in cleared], slots
 
 
-def _fraction_free(rows: list, slots: _Slots, cols: int, jordan: bool):
+def _fraction_free(rows: list, slots: _Slots, cols: int, top: int):
     """Fraction-free elimination over Z[i] (Bareiss, Math. Comp. 22, 1968).
 
     Scans columns ``0 .. cols-1`` for the first nonzero entry at or below the
-    next pivot row and swaps that row up.  Every other row (``jordan``) or
-    every row below (otherwise) becomes (a * row - f * pivot_row) / q, with
-    a the new pivot, f the row's entry in the pivot column and q the
-    previous pivot; the division is exact in Z[i].  Row scaling keeps the
-    zero pattern, so the pivots are those of plain Gauss-Jordan.
+    next pivot row and swaps that row up.  Every row below the pivot, and
+    every row above it from row ``top`` on, becomes (a * row - f * pivot_row)
+    / q, with a the new pivot, f the row's entry in the pivot column and q
+    the previous pivot; the division is exact in Z[i].  Row scaling keeps
+    the zero pattern, so the pivots are those of plain Gauss-Jordan.
+
+    ``top`` = 0 is Gauss-Jordan and ``top`` = len(rows) the forward pass.
+    Between them only rows ``top`` on are back-substituted (Nakos, Turner
+    and Williams, SIGSAM Bull. 31(3), 1997), and the rows above ``top``
+    keep only their forward updates.
 
     Works in place; returns (pivot columns, last pivot, number of swaps).
     """
@@ -152,7 +159,7 @@ def _fraction_free(rows: list, slots: _Slots, cols: int, jordan: bool):
             rows[k], rows[src] = rows[src], rows[k]
             swaps += 1
         pre, pim, _ = rows[k]
-        for r in range(0 if jordan else k + 1, n):
+        for r in range(min(top, k + 1), n):
             if r == k:
                 continue
             re, im, den = rows[r]
@@ -226,18 +233,6 @@ class ExactMatrix:
         for i in range(n):
             ent[i * n + i] = ONE
         return cls(n, n, ent)
-
-    @classmethod
-    def from_columns(cls, dim: int, columns) -> "ExactMatrix":
-        columns = [list(c) for c in columns]
-        for c in columns:
-            if len(c) != dim:
-                raise DomainError("column has wrong dimension")
-        ent = []
-        for i in range(dim):
-            for c in columns:
-                ent.append(_to_scalar(c[i]))
-        return cls(dim, len(columns), ent)
 
     @classmethod
     def scalar_diag(cls, n: int, value) -> "ExactMatrix":
@@ -359,8 +354,8 @@ class ExactMatrix:
         column top-down for the first nonzero entry, with no magnitude
         heuristics, so the result depends only on the exact entries.  One
         forward elimination of m gives the pivots, the rank and, for a
-        square m, the determinant; the reduced form and the transform come
-        from a second pass only when one of them is read.
+        square m, the determinant; the reduced form and the transform each
+        come from a pass of their own, run only when read.
         """
         if self._rref is not None:
             return self._rref
@@ -371,7 +366,7 @@ class ExactMatrix:
             return self._rref
         rows, slots = _cleared_rows(self)
         pivots, last, swaps = _fraction_free(rows, slots, self.cols,
-                                             jordan=False)
+                                             self.rows)
         det = None
         if self.is_square():
             det = ZERO
@@ -390,14 +385,13 @@ class ExactMatrix:
         res = self.rref()
         pivot_set = set(res.pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
-        cols = []
-        for f in free:
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
+        k = len(free)
+        ent = [ZERO] * (self.cols * k)
+        for c, f in enumerate(free):
+            ent[f * k + c] = ONE
             for prow, pcol in enumerate(res.pivots):
-                vec[pcol] = -res.rref[prow, f]
-            cols.append(vec)
-        return ExactMatrix.from_columns(self.cols, cols)
+                ent[pcol * k + c] = -res.rref[prow, f]
+        return ExactMatrix(self.cols, k, ent)
 
     def image_basis(self) -> "ExactMatrix":
         """Pivot columns of the original matrix, spanning the image."""
@@ -445,16 +439,18 @@ class RrefResult:
 
     Pivots, rank and determinant come from one forward elimination of m.
     Below the next pivot row the forward and the Gauss-Jordan elimination
-    make the same updates, so they find the same pivots.  The Gauss-Jordan
-    elimination of [m | I] runs only when ``rref`` or ``transform`` is first
-    read, because most callers need only the pivots.  The result keeps m's
-    shape and entries rather than m, which caches it.  A matrix with no
-    rows or no columns is not eliminated at all: it has no pivots, it is
-    its own reduced form and its transform is the identity.
+    make the same updates, so they find the same pivots.  Most callers need
+    only those, so ``rref`` and ``transform`` are each one Gauss-Jordan
+    pass, run when first read: of m alone and of [m | I], with the same
+    pivots, row operations and clearing factors.  Reading both costs two
+    passes, which no request path does.  The result keeps m's shape and
+    entries rather than m, which caches it.  A matrix with no rows or no
+    columns is not eliminated at all: it has no pivots, it is its own
+    reduced form and its transform is the identity.
     """
 
     __slots__ = ("pivots", "rank", "determinant", "_shape", "_entries",
-                 "_reduced", "_rref", "_transform")
+                 "_rref", "_transform")
 
     def __init__(self, rows, cols, entries, pivots, determinant):
         self.pivots = tuple(pivots)
@@ -462,34 +458,31 @@ class RrefResult:
         self.determinant = determinant
         self._shape = (rows, cols)
         self._entries = entries
-        self._reduced = None
         self._rref = None
         self._transform = None
 
-    def _read(self, start, width) -> ExactMatrix:
-        """Columns start .. start+width-1 of the reduced [m | I]."""
-        if self._reduced is None:
-            n, cols = self._shape
-            m = ExactMatrix(n, cols, self._entries)
-            rows, slots = _cleared_rows(m.hstack(ExactMatrix.identity(n)))
-            _, last, _ = _fraction_free(rows, slots, cols, jordan=True)
-            self._reduced = rows, slots, last
-        return _block(*self._reduced, self.rank, start, width)
+    def _jordan(self, m: ExactMatrix, start: int) -> ExactMatrix:
+        """Columns ``start`` on of m after a Gauss-Jordan pass over its
+        first columns, those of the matrix this result reduces."""
+        rows, slots = _cleared_rows(m)
+        _, last, _ = _fraction_free(rows, slots, self._shape[1], 0)
+        return _block(rows, slots, last, self.rank, start, m.cols - start)
 
     @property
     def rref(self) -> ExactMatrix:
         if self._rref is None:
             n, cols = self._shape
-            self._rref = (self._read(0, cols) if n and cols
-                          else ExactMatrix(n, cols, ()))
+            m = ExactMatrix(n, cols, self._entries)
+            self._rref = self._jordan(m, 0) if n and cols else m
         return self._rref
 
     @property
     def transform(self) -> ExactMatrix:
         if self._transform is None:
             n, cols = self._shape
-            self._transform = (self._read(cols, n) if n and cols
-                               else ExactMatrix.identity(n))
+            ident = ExactMatrix.identity(n)
+            m = ExactMatrix(n, cols, self._entries).hstack(ident)
+            self._transform = self._jordan(m, cols) if n and cols else ident
         return self._transform
 
 
@@ -566,7 +559,9 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
     P the free columns of the representatives, which extend the boundaries
     to a basis of the cycles.  Its reduced P rows past the boundaries are
     the projection: they kill the boundaries and f's pivot columns, the
-    standard complement of the cycles.
+    standard complement of the cycles.  Only those rows are read, so only
+    they are back-substituted; a zero-dimensional quotient has none, and
+    its elimination is a forward pass.
     """
     if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
@@ -579,7 +574,7 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
     stacked = ExactMatrix(len(free), nb + n, [
         e for j in free for e in boundaries.row(j) + ident.row(j)])
     rows, slots = _cleared_rows(stacked)
-    pivots, last, _ = _fraction_free(rows, slots, stacked.cols, jordan=True)
+    pivots, last, _ = _fraction_free(rows, slots, stacked.cols, nb)
     reps = [free.index(p - nb) for p in pivots[nb:]]
     project = _block(rows[nb:], slots, last, len(reps), nb, n)
     return Subquotient(f, boundaries, cycles.select_columns(reps), project)

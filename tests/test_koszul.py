@@ -384,9 +384,9 @@ def count_eliminations(monkeypatch, q):
     calls = []
     kernel = linalg._fraction_free
 
-    def counted(*args, jordan):
-        calls.append(jordan)
-        return kernel(*args, jordan=jordan)
+    def counted(rows, slots, cols, top):
+        calls.append(top < len(rows))
+        return kernel(rows, slots, cols, top)
 
     monkeypatch.setattr(linalg, "_fraction_free", counted)
     assert joint_torsion_quad(q).value == QiScalar(1)
@@ -395,8 +395,8 @@ def count_eliminations(monkeypatch, q):
 
 def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
     # One elimination per subquotient beyond the reductions of its f and g,
-    # with containment read off it and descent checked by products, and no
-    # elimination of a torsion's zero end maps.  The three-elimination
+    # with containment decided by the product f * boundaries and descent
+    # checked by products, and no elimination of a torsion's zero end maps.  The three-elimination
     # construction with hand-built H2, H1 and H0 took 144 on this
     # quadruple, span tests for descent and containment 122, a
     # containment check by a second elimination 87, and a Gauss-Jordan pass

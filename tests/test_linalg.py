@@ -156,6 +156,10 @@ def kernel_of_rank_deficient():
     return f, ExactMatrix.zero(4, 0)
 
 
+def cokernel_of_column():
+    return ExactMatrix.zero(0, 3), mat([[1], ["i"], [2]])
+
+
 def h1_of_dim16_singular_d():
     quad = random_singular_d_quadruple(child_rng(1, 0), 16).complex
     return quad.differential(1), quad.differential(2)
@@ -184,6 +188,50 @@ def test_subquotient_eliminates_boundaries_in_cycle_coordinates(
     monkeypatch.setattr(linalg, "_cleared_rows", recorded)
     build_subquotient(f, g)
     assert shapes == [shape]
+
+
+@pytest.mark.parametrize("case, top_and_rows", [
+    (cokernel_of_invertible, (4, 4)),
+    (kernel_of_rank_deficient, (0, 2)),
+    (cokernel_of_column, (1, 3)),
+    (h1_of_dim16_singular_d, (16, 16)),
+])
+def test_subquotient_back_substitutes_only_projection_rows(
+        monkeypatch, case, top_and_rows):
+    # Only the rows past the rank g boundary rows are read, so the pass
+    # reduces above its pivots from row rank g on.  A zero-dimensional
+    # quotient has no such rows, and its pass is a forward pass.
+    f, g = case()
+    f.kernel_basis(), g.image_basis()
+    calls = []
+    kernel = linalg._fraction_free
+
+    def recorded(rows, slots, cols, top):
+        calls.append((top, len(rows)))
+        return kernel(rows, slots, cols, top)
+
+    monkeypatch.setattr(linalg, "_fraction_free", recorded)
+    build_subquotient(f, g)
+    assert calls == [top_and_rows]
+    assert calls[0][0] == g.rank()
+
+
+def test_kernel_basis_eliminates_the_matrix_without_an_identity(monkeypatch):
+    # The kernel is read off the reduced form alone, so neither pass
+    # carries the 4x4 identity block of the transform.
+    rows = [[1, 2, 0, "i", 3, 0], [0, 1, 1, 0, "2i", 1]]
+    m = mat(rows + [[1, 3, 1, "i", "3+2i", 1], [2, 4, 0, "2i", 6, 0]])
+    shapes = []
+    clear = linalg._cleared_rows
+
+    def recorded(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return clear(matrix)
+
+    monkeypatch.setattr(linalg, "_cleared_rows", recorded)
+    kernel = m.kernel_basis()
+    assert shapes == [(4, 6), (4, 6)]
+    assert kernel.cols == 4 and (m * kernel).is_zero()
 
 
 def test_subquotient_projection_section_identity():
@@ -414,8 +462,7 @@ def standalone_determinant(m):
     """The determinant by its own forward Bareiss elimination, apart from
     rref: the last pivot, signed by the swaps, over the clearing factors."""
     rows, slots = _cleared_rows(m)
-    pivots, (pr, pi), swaps = _fraction_free(rows, slots, m.cols,
-                                             jordan=False)
+    pivots, (pr, pi), swaps = _fraction_free(rows, slots, m.cols, m.rows)
     if len(pivots) < m.rows:
         return ZERO
     if swaps % 2:
@@ -426,7 +473,7 @@ def standalone_determinant(m):
 
 def jordan_pivots(m):
     rows, slots = _cleared_rows(m.hstack(ExactMatrix.identity(m.rows)))
-    pivots, _, _ = _fraction_free(rows, slots, m.cols, jordan=True)
+    pivots, _, _ = _fraction_free(rows, slots, m.cols, 0)
     return tuple(pivots)
 
 
@@ -532,7 +579,7 @@ def random_cycles(rng, n, count):
             cols.append((ZERO,) * n)
         else:
             cols.append(tuple(random_qi(rng, 3) for _ in range(n)))
-    return ExactMatrix.from_columns(n, cols)
+    return ExactMatrix(n, count, [c[i] for i in range(n) for c in cols])
 
 
 def random_boundaries(rng, f, count):
