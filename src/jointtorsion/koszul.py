@@ -248,14 +248,14 @@ def joint_torsion_quad(q: KoszulQuadruple, rebasing=None) -> JointTorsionReport:
         homology_dims=dims, value=value)
 
 
-def joint_torsion_pair(a: ExactMatrix, b: ExactMatrix) -> QiScalar:
+def joint_torsion_pair(a: ExactMatrix, b: ExactMatrix) -> JointTorsionReport:
     """Joint torsion of a commuting pair, via the quadruple (A, B, B, A),
     whose construction is the check that AB = BA."""
     try:
         q = KoszulQuadruple(a, b, b, a)
     except DomainError as exc:
         raise DomainError("operators do not commute") from exc
-    return joint_torsion_quad(q).value
+    return joint_torsion_quad(q)
 
 
 def graded_determinant(seq: BasedExactSequence) -> QiScalar:

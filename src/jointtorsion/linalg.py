@@ -36,7 +36,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError
-from .scalars import ONE, ZERO, QiScalar
+from .scalars import ONE, ZERO, QiScalar, _raw
 
 
 def _to_scalar(value) -> QiScalar:
@@ -49,9 +49,10 @@ def _to_scalar(value) -> QiScalar:
 
 # -- fraction-free elimination kernel ------------------------------------------
 #
-# A row is held as (re, im, den): the real and imaginary parts of its
-# Gaussian-integer numerators, each packed into one Python int by _Slots, and
-# the clearing factor den by which the row was scaled to make them integral.
+# A row is held as (re, im, den), the form (a + b i) / d of a QiScalar
+# widened to a row: the real and imaginary parts of its Gaussian-integer
+# numerators, each packed into one Python int by _Slots, over one clearing
+# factor den, the lcm of the entries' denominators d.
 
 
 class _Slots:
@@ -107,13 +108,13 @@ def _cleared_rows(m: "ExactMatrix"):
     bits = 2
     for i in range(n):
         row = m.entries[i * w:(i + 1) * w]
-        den = lcm(*[e.re_den for e in row], *[e.im_den for e in row])
+        den = lcm(*[e.d for e in row])
         if den == 1:
-            re = [e.re_num for e in row]
-            im = [e.im_num for e in row]
+            re = [e.a for e in row]
+            im = [e.b for e in row]
         else:
-            re = [e.re_num * (den // e.re_den) for e in row]
-            im = [e.im_num * (den // e.im_den) for e in row]
+            re = [e.a * (den // e.d) for e in row]
+            im = [e.b * (den // e.d) for e in row]
         norm_sq = sum(map(mul, re, re)) + sum(map(mul, im, im))
         bits += (norm_sq.bit_length() + 1) // 2
         cleared.append((re, im, den))
@@ -187,12 +188,11 @@ def _quotients(re, im, gr, gi) -> list:
         gr = gr * gr + gi * gi
     elif gr < 0:
         re, im, gr = [-a for a in re], [-b for b in im], -gr
-    raw = QiScalar._raw
     out = []
     for a, b in zip(re, im):
         if a or b:
-            g, h = gcd(a, gr), gcd(b, gr)
-            out.append(raw(a // g, gr // g, b // h, gr // h))
+            g = gcd(a, b, gr)
+            out.append(_raw(a // g, b // g, gr // g))
         else:
             out.append(ZERO)
     return out

@@ -12,7 +12,7 @@ import random
 
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
-from .scalars import QiScalar, _norm, qi_modulus_cmp_one
+from .scalars import QiScalar, qi_modulus_cmp_one
 from .toeplitz import AnalyticSymbol
 
 
@@ -22,11 +22,11 @@ def child_rng(seed: int, index: int) -> random.Random:
 
 
 def random_qi(rng: random.Random, mag: int = 4, imag_prob: float = 0.5) -> QiScalar:
-    re_n, re_d = _norm(rng.randint(-mag, mag), rng.randint(1, mag))
-    im_n, im_d = 0, 1
+    real = rng.randint(-mag, mag), rng.randint(1, mag)
+    imag = (0, 1)
     if rng.random() < imag_prob:
-        im_n, im_d = _norm(rng.randint(-mag, mag), rng.randint(1, mag))
-    return QiScalar._raw(re_n, re_d, im_n, im_d)
+        imag = rng.randint(-mag, mag), rng.randint(1, mag)
+    return QiScalar(real, imag)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int,

@@ -190,7 +190,7 @@ def _suite_pseudoinverse(seed, index):
     mu_b = (b.cols - b.rank()) ** 2
     _check(results, "folded formula equals pipeline on commuting pairs",
            pseudoinv_formula(eps_a, eps_b, mu_a, mu_b)
-           == joint_torsion_pair(a, b), reproducer)
+           == joint_torsion_pair(a, b).value, reproducer)
     seq = random_exact_sequence(rng, max_len=5, max_rank=3)
     _check(results, "folded determinant equals torsion",
            graded_determinant(seq) == torsion_scalar(seq), reproducer)

@@ -118,19 +118,20 @@ def test_pair_request_runs_joint_torsion_once(monkeypatch):
     from jointtorsion.linalg import ExactMatrix
 
     calls = []
+    quad = koszul.joint_torsion_quad
 
     def counted(q):
         calls.append(q)
-        return koszul.joint_torsion_quad(q)
+        return quad(q)
 
-    monkeypatch.setattr(cli, "joint_torsion_quad", counted)
+    monkeypatch.setattr(koszul, "joint_torsion_quad", counted)
     # b = a**2 + a commutes with a
     payload = {"dim": 2, "a": ["1", "i", "0", "2"], "b": ["2", "4*i", "0", "6"]}
     out = run_request({"cmd": "joint_torsion_pair", "payload": payload})
     assert len(calls) == 1
     a = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["a"]])
     b = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["b"]])
-    assert out["value"] == koszul.joint_torsion_pair(a, b).to_text()
+    assert out["value"] == koszul.joint_torsion_pair(a, b).value.to_text()
 
 
 def test_pair_request_rejects_non_commuting():
@@ -316,6 +317,18 @@ def test_trig_poly_over_the_span_cap_exits_2(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "error": f"f has degree span 40, above the cap of "
                  f"{fredholm._MAX_SPAN}"}
+
+
+def test_symbol_over_the_root_cap_exits_2(monkeypatch, capsys):
+    # the roots are outside the grammar, so parsing any of them would exit 3
+    count = cli._MAX_ROOTS + 1
+    req = {"cmd": "toeplitz_exact",
+           "payload": {"f": {"leading": "1", "roots": ["1_0"] * count},
+                       "g": {"leading": "1", "roots": []}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(req)))
+    assert cli.main([]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"f has {count} roots, above the cap of {cli._MAX_ROOTS}"}
 
 
 def test_exact_request_does_not_load_numpy():

@@ -1,11 +1,12 @@
-"""Every public name resolves, every name the benchmark's tracer wraps
-still exists in the package, so that a traced run (``--trace 1``) cannot
-break silently when a name is deleted or renamed, README's list of
+"""Every public name resolves, every name the benchmark's tracer wraps or
+reads still exists in the package, so that a traced run (``--trace 1``)
+cannot break silently when a name is deleted or renamed, README's list of
 suites is the package's, and every name README says the package computes
 is one it exports.
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
-are plain literals.
+are plain literals, and the scalar attributes it reads are found in its
+source.
 """
 
 import ast
@@ -22,11 +23,14 @@ README = os.path.join(ROOT, "README.md")
 TABLES = ("FUNCTIONS", "CLASSES", "METHODS", "SCALAR_OPS")
 
 
-def tracing_tables() -> dict:
+def tracing_tree() -> ast.Module:
     with open(TRACING, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+def tracing_tables() -> dict:
     tables = {}
-    for node in tree.body:
+    for node in tracing_tree().body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and node.targets[0].id in TABLES):
@@ -73,6 +77,19 @@ def test_every_traced_name_exists():
             f"{mod}.{cls_name}.{attr}"
     for attr in tables["SCALAR_OPS"]:
         assert attr in vars(jointtorsion.QiScalar), f"QiScalar.{attr}"
+
+
+def test_every_scalar_attribute_the_tracer_reads_exists():
+    # _bits reads the bit lengths of each scalar s's parts
+    bits = next(node for node in tracing_tree().body
+                if isinstance(node, ast.FunctionDef) and node.name == "_bits")
+    read = {node.attr for node in ast.walk(bits)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "s"}
+    assert read
+    x = jointtorsion.QiScalar((3, 4), (-1, 2))
+    for attr in read:
+        assert type(getattr(x, attr, None)) is int, f"QiScalar.{attr}"
 
 
 def test_readme_lists_every_suite():

@@ -63,6 +63,7 @@ def test_field_axioms_on_random_triples():
 def test_canonical_form_is_idempotent():
     x = QiScalar((2, 4), (-6, -8))
     assert (x.re_num, x.re_den, x.im_num, x.im_den) == (1, 2, 3, 4)
+    assert (x.a, x.b, x.d) == (2, 3, 4)
     again = QiScalar((x.re_num, x.re_den), (x.im_num, x.im_den))
     assert again == x
     zero = QiScalar((0, 7))
@@ -151,6 +152,9 @@ def _reference(op, x, y):
 
 def assert_canonical(x):
     assert type(x) is QiScalar
+    # the stored form (a + b i) / d: one common denominator, positive, with
+    # no factor shared by all three integers
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
     for num, den in ((x.re_num, x.re_den), (x.im_num, x.im_den)):
         assert type(num) is int and type(den) is int
         # lowest terms with a positive denominator; gcd(0, den) = den, so
