@@ -10,20 +10,26 @@ inverts them through the analytic/co-analytic splitting
 
 (triangular factors invert exactly at the symbol level), multiplies out the
 commutator at an enlarged size N + B, and returns the determinant of the
-leading N x N block.  The buffer B absorbs the truncation edge.  Its default
-is B = 2 S, where S, the significant span, is the largest degree at which
-any of the eight exponential factors has a coefficient above 1e-14: each
-Toeplitz factor then reaches at most S rows past the block.  The
-enlarged size N + B may not exceed ``_MAX_DIM``; a larger request is
-rejected once S is known and before any array is built.  At the cap one
-request takes about 3.6 s and 280 MB peak on a 2-vCPU machine.
+leading N x N block.  Only that block is multiplied out: the first factor
+keeps its first N rows and the last its first N columns, so the chain is
+(N x M)(M x M)(M x M)(M x N) with M = N + B, and each entry has the bits
+it has in the full M x M product.  The buffer B absorbs the truncation
+edge.  Its default is B = 2 S, where S, the significant span, is the
+largest degree at which any of the eight exponential factors has a
+coefficient above 1e-14: each Toeplitz factor then reaches at most S rows
+past the block.  The enlarged size N + B may not exceed ``_MAX_DIM``; a
+larger request is rejected once S is known and before any array is built.
+At the cap one request takes about 2.5 s and 250 MB peak on a 2-vCPU
+machine.
 
-The exponential series run before S is known, and their cost grows with
-the square of both the degree span of f and g (the support each term adds)
-and their coefficient 1-norm (the number of terms).  So a request whose f
-or g has degree span above ``_MAX_SPAN`` or coefficient 1-norm above
-``_MAX_NORM`` is rejected before any series is summed.  At span 16 and
-1-norm 40 the eight series take about 4 s on the same machine.
+The eight factors come from four series, one per +- pair: the series of
+e^p also sums e^-p, whose terms are those of e^p with the sign of every
+odd term flipped.  The series run before S is known, and their cost grows
+with the square of both the degree span of f and g (the support each term
+adds) and their coefficient 1-norm (the number of terms).  So a request
+whose f or g has degree span above ``_MAX_SPAN`` or coefficient 1-norm
+above ``_MAX_NORM`` is rejected before any series is summed.  At span 16
+and 1-norm 40 the four series take about 2 s on the same machine.
 
 The products T_{e^f} T_{e^{-f}} cancel the size of their factors, so large
 factors leave nothing of double precision.  A request is rejected once the
@@ -33,8 +39,9 @@ also when the determinant is not finite.
 
 The determinant comes from a blocked LU with partial pivoting (panels of
 32 columns, each column updated left-looking by one matrix-vector product,
-then one matrix product for the trailing block).  Every pivot must reach
-the stability floor, else the truncation is reported unstable.
+then one matrix product for the trailing block), done in place on the
+freshly multiplied block.  Every pivot must reach the stability floor,
+else the truncation is reported unstable.
 
 numpy is imported by the functions that use it, so importing this module
 (and the CLI) does not load it.
@@ -98,14 +105,20 @@ class TrigPoly:
         return f"TrigPoly({{{items}}})"
 
 
-def exp_symbol_coeffs(f: TrigPoly) -> dict:
-    """Fourier coefficients of e^f at full support.
+def exp_symbol_coeffs(f: TrigPoly) -> tuple:
+    """Fourier coefficients of e^f and of e^-f at full support, as a pair.
 
     Term-accumulated products: the running term f^j / j! is convolved at
     full support, with no truncation.  The series stops once a term falls
     below 1e-25 (from the second term on), or after ``_MAX_TERMS`` terms.
+    Term j of e^-f is (-1)^j times term j of e^f in every nonzero part,
+    since negating the inputs of a product, a sum or the division by j
+    negates its rounded result, so one series gives both sums.  Zero parts
+    may differ in sign, but both sums start at +0 in every part and
+    +0 + -0 = +0, so neither keeps a -0 that a series of -f would not.
     """
     result = {0: 1.0 + 0j}
+    inverse = {0: 1.0 + 0j}
     term = {0: 1.0 + 0j}
     for j in range(1, _MAX_TERMS):
         nxt: dict = {}
@@ -117,11 +130,14 @@ def exp_symbol_coeffs(f: TrigPoly) -> dict:
         size = max((abs(v) for v in term.values()), default=0.0)
         if size < _TERM_FLOOR:
             break
+        odd = j % 2
         for k, v in term.items():
             result[k] = result.get(k, 0j) + v
+            inverse[k] = inverse.get(k, 0j) + (-v if odd else v)
         if size < 1e-25 and j >= 2:
             break
-    return {k: v for k, v in result.items() if v != 0}
+    return ({k: v for k, v in result.items() if v != 0},
+            {k: v for k, v in inverse.items() if v != 0})
 
 
 def closed_form_di(f: TrigPoly, g: TrigPoly) -> complex:
@@ -138,48 +154,54 @@ def closed_form_di(f: TrigPoly, g: TrigPoly) -> complex:
 
 
 def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
-    """Dense Toeplitz block M[j, k] = coeffs[j - k] of the given size."""
+    """Dense Toeplitz block M[j, k] = coeffs[j - k] of the given size.
+
+    The coefficients go once into a vector v with v[size - 1 - d] =
+    coeffs[d]; row j of the block is v[size - 1 - j:2 size - 1 - j], so
+    the block is one copy of v's reversed sliding windows.
+    """
     import numpy as np
 
-    m = np.zeros((size, size), dtype=complex)
+    diagonals = np.zeros(2 * size - 1, dtype=complex)
     for k, v in coeffs.items():
-        if abs(k) >= size:
-            continue
-        idx = np.arange(size - abs(k))
-        if k >= 0:
-            m[idx + k, idx] = v
-        else:
-            m[idx, idx - k] = v
-    return m
+        if abs(k) < size:
+            diagonals[size - 1 - k] = v
+    return np.lib.stride_tricks.sliding_window_view(diagonals, size)[::-1].copy()
 
 
-def _lu_determinant(block: np.ndarray) -> complex:
+def _lu_determinant(a: np.ndarray) -> complex:
     """Determinant by blocked LU with partial pivoting (first maximum of
     |a| in the column); pivots below the floor, or NaN, are rejected.
 
     Within a panel each column is brought up to date left-looking, pivoted,
     and its pivot row's U part computed across the whole width; the trailing
-    block then takes the panel's update in one product.
+    block then takes the panel's update in one product.  The factors
+    overwrite ``a``.
     """
     import numpy as np
 
-    a = block.copy()
     n = a.shape[0]
     det = 1.0 + 0j
     for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
         for k in range(p0, p1):
-            a[k:, k] -= a[k:, p0:k] @ a[p0:k, k]
+            # at k == p0 the panel has no earlier column: the products are
+            # zero and subtracting them would change no bit
+            if k > p0:
+                a[k:, k] -= a[k:, p0:k] @ a[p0:k, k]
             p = k + int(np.argmax(np.abs(a[k:, k])))
             pivot = a[p, k]
             if not abs(pivot) >= _PIVOT_FLOOR:
                 raise DomainError("truncation unstable, increase N or shrink symbol")
             if p != k:
-                a[[k, p]] = a[[p, k]]
+                row = a[k].copy()
+                a[k] = a[p]
+                a[p] = row
                 det = -det
             det *= pivot
             a[k + 1:, k] /= pivot
-            a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
+            if k > p0:
+                a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
         a[p1:, p1:] -= a[p1:, p0:p1] @ a[p0:p1, p1:]
     return det
 
@@ -206,13 +228,8 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
             raise DomainError(f"{name} has coefficient 1-norm {norm:g}, above "
                               f"the cap of {_MAX_NORM:g}")
 
-    def factors(poly: TrigPoly):
-        lower_exp, upper_exp = poly.split()
-        return (exp_symbol_coeffs(lower_exp), exp_symbol_coeffs(upper_exp),
-                exp_symbol_coeffs(-lower_exp), exp_symbol_coeffs(-upper_exp))
-
-    f_lo, f_up, f_lo_inv, f_up_inv = factors(f)
-    g_lo, g_up, g_lo_inv, g_up_inv = factors(g)
+    (f_lo, f_lo_inv), (f_up, f_up_inv) = map(exp_symbol_coeffs, f.split())
+    (g_lo, g_lo_inv), (g_up, g_up_inv) = map(exp_symbol_coeffs, g.split())
 
     significant = 0
     for name, sets in (("f", (f_lo, f_up, f_lo_inv, f_up_inv)),
@@ -240,13 +257,16 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
         raise DomainError(f"truncation size n + buffer = {total} exceeds "
                           f"the cap of {_MAX_DIM}")
 
-    op_a = toeplitz_matrix(f_lo, total) @ toeplitz_matrix(f_up, total)
+    # Only the leading size x size block of the product is read.  BLAS sums
+    # each entry the same way whatever the numbers of rows and columns, so
+    # the restricted chain gives that block the bits of the full product.
+    op_a = toeplitz_matrix(f_lo, total)[:size] @ toeplitz_matrix(f_up, total)
     op_b = toeplitz_matrix(g_lo, total) @ toeplitz_matrix(g_up, total)
     op_a_inv = toeplitz_matrix(f_up_inv, total) @ toeplitz_matrix(f_lo_inv, total)
-    op_b_inv = toeplitz_matrix(g_up_inv, total) @ toeplitz_matrix(g_lo_inv, total)
+    op_b_inv = (toeplitz_matrix(g_up_inv, total)
+                @ toeplitz_matrix(g_lo_inv, total)[:, :size])
 
-    product = op_a @ op_b @ op_a_inv @ op_b_inv
-    det = _lu_determinant(product[:size, :size])
+    det = _lu_determinant(op_a @ op_b @ op_a_inv @ op_b_inv)
     if not cmath.isfinite(det):
         raise DomainError("determinant is not finite")
     return det

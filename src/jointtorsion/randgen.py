@@ -12,7 +12,7 @@ import random
 
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
-from .scalars import QiScalar, qi_modulus_cmp_one
+from .scalars import QiScalar, _reduced, qi_modulus_cmp_one
 from .toeplitz import AnalyticSymbol
 
 
@@ -22,11 +22,35 @@ def child_rng(seed: int, index: int) -> random.Random:
 
 
 def random_qi(rng: random.Random, mag: int = 4, imag_prob: float = 0.5) -> QiScalar:
-    real = rng.randint(-mag, mag), rng.randint(1, mag)
-    imag = (0, 1)
-    if rng.random() < imag_prob:
-        imag = rng.randint(-mag, mag), rng.randint(1, mag)
-    return QiScalar(real, imag)
+    """p/q + (r/s) i with p, r in [-mag, mag] and q, s in [1, mag]; the
+    imaginary part is drawn with probability imag_prob, else it is 0.
+
+    Each integer is drawn the way ``rng.randint`` draws it, by the same
+    rejection loop: getrandbits of the width's bit length until the value
+    falls below the width.
+    """
+    if mag < 1:
+        raise ValueError(f"empty range for mag = {mag}")
+    bits = rng.getrandbits
+    width = 2 * mag + 1
+    k, k_den = width.bit_length(), mag.bit_length()
+    p = bits(k)
+    while p >= width:
+        p = bits(k)
+    q = bits(k_den)
+    while q >= mag:
+        q = bits(k_den)
+    if rng.random() >= imag_prob:
+        return _reduced(p - mag, 0, q + 1)
+    r = bits(k)
+    while r >= width:
+        r = bits(k)
+    s = bits(k_den)
+    while s >= mag:
+        s = bits(k_den)
+    p, q, r, s = p - mag, q + 1, r - mag, s + 1
+    # p/q + (r/s) i = (p s + r q i) / (q s)
+    return _reduced(p * s, r * q, q * s)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int,

@@ -47,11 +47,10 @@ def significant_span(f, g):
     exponential factors e^{+-f_-}, e^{+-(f_0 + f_+)} and the same for g."""
     span = 0
     for poly in (f, g):
-        lower, upper = poly.split()
-        for part in (lower, upper, -lower, -upper):
-            coeffs = exp_symbol_coeffs(part)
-            span = max([span] + [abs(k) for k, v in coeffs.items()
-                                 if abs(v) > 1e-14])
+        for part in poly.split():
+            for coeffs in exp_symbol_coeffs(part):
+                span = max([span] + [abs(k) for k, v in coeffs.items()
+                                     if abs(v) > 1e-14])
     return span
 
 
@@ -62,24 +61,26 @@ def random_trig_poly(rng, span, scale):
 
 
 def test_exp_of_zero_is_delta():
-    coeffs = exp_symbol_coeffs(TrigPoly({}))
+    coeffs, inverse = exp_symbol_coeffs(TrigPoly({}))
     assert coeffs == {0: 1.0 + 0j}
+    assert inverse == {0: 1.0 + 0j}
 
 
 def test_exp_of_cz_gives_power_series():
     c = 0.7 - 0.2j
-    coeffs = exp_symbol_coeffs(TrigPoly({1: c}))
-    for k in range(10):
-        expected = c ** k / math.factorial(k)
-        assert abs(coeffs.get(k, 0j) - expected) < 1e-15 * max(1.0, abs(expected))
-    assert all(k >= 0 for k in coeffs)
+    for coeffs, base in zip(exp_symbol_coeffs(TrigPoly({1: c})), (c, -c)):
+        for k in range(10):
+            expected = base ** k / math.factorial(k)
+            assert (abs(coeffs.get(k, 0j) - expected)
+                    < 1e-15 * max(1.0, abs(expected)))
+        assert all(k >= 0 for k in coeffs)
 
 
 def test_exp_symmetric_symbol_center_coefficient():
     # independent series oracle: the center coefficient of e^(z + 1/z)
     # is sum over k of 1/(k!)^2
     oracle = sum(1.0 / math.factorial(k) ** 2 for k in range(40))
-    coeffs = exp_symbol_coeffs(TrigPoly({1: 1.0, -1: 1.0}))
+    coeffs = exp_symbol_coeffs(TrigPoly({1: 1.0, -1: 1.0}))[0]
     assert abs(coeffs[0] - oracle) < 1e-12
     assert abs(coeffs[0] - 2.2795853) < 1e-6
     for k in range(1, 10):
@@ -223,6 +224,140 @@ def test_blocked_lu_rejects_nan(where):
         _lu_determinant(block)
 
 
+# -- the numeric path against the full-size reference -------------------------
+
+def reference_exp_series(f):
+    """The series of one exponential alone, as first written."""
+    result = {0: 1.0 + 0j}
+    term = {0: 1.0 + 0j}
+    for j in range(1, fredholm._MAX_TERMS):
+        nxt = {}
+        for k1, v1 in term.items():
+            for k2, v2 in f.coeffs.items():
+                key = k1 + k2
+                nxt[key] = nxt.get(key, 0j) + v1 * v2
+        term = {k: v / j for k, v in nxt.items() if v != 0}
+        size = max((abs(v) for v in term.values()), default=0.0)
+        if size < fredholm._TERM_FLOOR:
+            break
+        for k, v in term.items():
+            result[k] = result.get(k, 0j) + v
+        if size < 1e-25 and j >= 2:
+            break
+    return {k: v for k, v in result.items() if v != 0}
+
+
+def reference_toeplitz(coeffs, size):
+    """The block written one diagonal at a time."""
+    m = np.zeros((size, size), dtype=complex)
+    for k, v in coeffs.items():
+        if abs(k) >= size:
+            continue
+        idx = np.arange(size - abs(k))
+        if k >= 0:
+            m[idx + k, idx] = v
+        else:
+            m[idx, idx - k] = v
+    return m
+
+
+def reference_blocked_lu(block):
+    """The blocked LU on a copy, with every panel product and a fancy-index
+    row swap."""
+    a = block.copy()
+    n = a.shape[0]
+    det = 1.0 + 0j
+    for p0 in range(0, n, fredholm._PANEL):
+        p1 = min(p0 + fredholm._PANEL, n)
+        for k in range(p0, p1):
+            a[k:, k] -= a[k:, p0:k] @ a[p0:k, k]
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            pivot = a[p, k]
+            if not abs(pivot) >= _PIVOT_FLOOR:
+                raise DomainError("truncation unstable")
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                det = -det
+            det *= pivot
+            a[k + 1:, k] /= pivot
+            a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
+        a[p1:, p1:] -= a[p1:, p0:p1] @ a[p0:p1, p1:]
+    return det
+
+
+def reference_factors(f, g):
+    """e^{f_-}, e^{f_0 + f_+}, their inverses, and the same for g: eight
+    series."""
+    factors = []
+    for poly in (f, g):
+        lower, upper = poly.split()
+        factors += [reference_exp_series(part)
+                    for part in (lower, upper, -lower, -upper)]
+    return factors
+
+
+def reference_numeric_det(factors, size, buffer=None):
+    """Eight blocks, seven products at full size, and the LU of the leading
+    block (the caps are left out)."""
+    significant = max(abs(k) for coeffs in factors
+                      for k, v in coeffs.items() if abs(v) > 1e-14)
+    total = size + (2 * significant if buffer is None else buffer)
+    f_lo, f_up, f_lo_inv, f_up_inv, g_lo, g_up, g_lo_inv, g_up_inv = (
+        reference_toeplitz(coeffs, total) for coeffs in factors)
+    product = (f_lo @ f_up) @ (g_lo @ g_up) @ (f_up_inv @ f_lo_inv) @ (
+        g_up_inv @ g_lo_inv)
+    return reference_blocked_lu(product[:size, :size])
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_toeplitz_block_matches_the_per_diagonal_reference():
+    rng = random.Random(151)
+    for size in (1, 2, 3, 7, 16, 33):
+        for _ in range(10):
+            coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for k in range(-40, 41) if rng.random() < 0.3}
+            block = fredholm.toeplitz_matrix(coeffs, size)
+            assert block.flags.c_contiguous
+            assert block.tobytes() == reference_toeplitz(coeffs, size).tobytes()
+
+
+def test_exp_pair_matches_two_reference_series():
+    rng = random.Random(15)
+    polys = [TrigPoly({1: 1.0}), TrigPoly({-2: 0.5j, 3: -0.25})]
+    for i in range(40):
+        polys.append(random_trig_poly(rng, 1 + i % 4, 1.5))
+    for poly in polys:
+        for part in poly.split() + (poly,):
+            for got, want in zip(exp_symbol_coeffs(part),
+                                 (reference_exp_series(part),
+                                  reference_exp_series(-part))):
+                assert list(got) == list(want)
+                assert [bits(v) for v in got.values()] == [
+                    bits(v) for v in want.values()]
+
+
+def test_numeric_path_matches_the_full_size_reference():
+    # Restricting the products to the rows and columns the determinant
+    # reads, one series per +- pair and the LU in place change no bit.
+    rng = random.Random(1515)
+    pairs = list(NUMERIC_CORPUS)
+    for i in range(21):
+        span = 1 + i % 3
+        pairs.append((random_trig_poly(rng, span, 1.5),
+                      random_trig_poly(rng, span, 1.5)))
+    for f, g in pairs:
+        factors = reference_factors(f, g)
+        span = significant_span(f, g)
+        for n in (16, 32, 64, 128):
+            for buffer in (None, 2 * span + 3):
+                value = numeric_det_invariant(f, g, n, buffer)
+                assert bits(value) == bits(
+                    reference_numeric_det(factors, n, buffer))
+
+
 # -- the buffer ---------------------------------------------------------------
 
 def _record_sizes(monkeypatch):
@@ -241,9 +376,19 @@ def _record_sizes(monkeypatch):
 def test_default_buffer_is_twice_the_significant_span(monkeypatch, pair):
     f, g = pair
     sizes = _record_sizes(monkeypatch)
+    series = []
+    original = fredholm.exp_symbol_coeffs
+
+    def recording(poly):
+        series.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(fredholm, "exp_symbol_coeffs", recording)
     numeric_det_invariant(f, g, 32)
     assert len(sizes) == 8
     assert set(sizes) == {32 + 2 * significant_span(f, g)}
+    # one series per +- pair: e^{f_-}, e^{f_0 + f_+} and the same for g
+    assert len(series) == 4
 
 
 def test_explicit_buffer_is_honoured(monkeypatch):

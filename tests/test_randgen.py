@@ -58,7 +58,7 @@ def streams(seed):
 # -- the pins ----------------------------------------------------------------
 
 @pytest.mark.parametrize("mag, imag_prob", [(4, 0.5), (3, 0.4), (1, 1.0),
-                                            (9, 0.0)])
+                                            (9, 0.0), (2, 0.3), (3, 0.3)])
 def test_random_qi_stream_is_pinned(mag, imag_prob):
     for seed in SEEDS:
         rng, ref = streams(seed)
@@ -66,6 +66,13 @@ def test_random_qi_stream_is_pinned(mag, imag_prob):
             assert random_qi(rng, mag, imag_prob) == reference_qi(ref, mag,
                                                                   imag_prob)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("mag", [0, -1])
+def test_random_qi_rejects_an_empty_range(mag):
+    # randint(1, mag) raises here too; the inlined draw must not loop
+    with pytest.raises(ValueError):
+        random_qi(child_rng(0, 0), mag)
 
 
 def test_random_symbol_stream_is_pinned():
