@@ -8,7 +8,8 @@ command lives inside the request, so suites are plain data:
 
 Exit codes: 0 success, 2 domain error (a module precondition failed, a
 quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, or a toeplitz_exact
-symbol with more than ``_MAX_ROOTS`` roots), 3 parse error (malformed
+symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
+longer than ``_MAX_SYMBOL_TEXT`` characters), 3 parse error (malformed
 JSON or a payload that does not match the command's schema, including
 scalar text outside the ASCII grammar, a negative dimension, a seed that
 is not an integer and a trig coefficient that is a boolean or not a finite
@@ -39,14 +40,16 @@ from .toeplitz import (AnalyticSymbol, restriction_data, tame_symbol,
 _COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
              "toeplitz_exact", "toeplitz_numeric", "verify")
 
-# A dim-20 quadruple with invertible D takes 7-9 s on a 2-vCPU machine, and
+# A dim-20 quadruple with invertible D takes 3-4 s on a 2-vCPU machine, and
 # the cost grows about 5x per four dimensions.
 _MAX_OPERATOR_DIM = 20
 
-# toeplitz_exact with f and g each given k roots inside the disk, on
-# distinct 3-digit prime denominators, takes 4.6 s at k = 12 on a 2-vCPU
-# machine, and the cost grows about 1.9x per root.
+# toeplitz_exact with f and g each given 12 roots inside the disk, each
+# root 1/p + 1/q i on its own two 3-digit primes (12 characters), takes
+# 5-7.5 s on a 2-vCPU machine; at 14 characters it took 8.5-11.5 s.  The
+# cost grows about 1.9x per root.
 _MAX_ROOTS = 12
+_MAX_SYMBOL_TEXT = 12
 
 
 class SchemaError(ValueError):
@@ -117,17 +120,26 @@ def _square(payload: dict, key: str, dim: int, path: str) -> ExactMatrix:
     return _matrix(_need(payload, key, path), dim, dim, f"{path}.{key}")
 
 
+def _symbol_scalar(value, path: str) -> QiScalar:
+    if isinstance(value, str) and len(value) > _MAX_SYMBOL_TEXT:
+        raise DomainError(f"{path} has {len(value)} characters, above the "
+                          f"cap of {_MAX_SYMBOL_TEXT}")
+    return _scalar(value, path)
+
+
 def _symbol(payload: dict, key: str):
     """The symbol ``key`` of a toeplitz_exact request, its root count capped
-    before any root is read."""
+    before any root is read and each scalar's text length before it is
+    parsed."""
     path = f"$.payload.{key}"
     obj = _as_dict(_need(payload, key, "$.payload"), path)
-    leading = _scalar(_need(obj, "leading", path), f"{path}.leading")
+    leading = _symbol_scalar(_need(obj, "leading", path), f"{path}.leading")
     items = _as_list(_need(obj, "roots", path), f"{path}.roots")
     if len(items) > _MAX_ROOTS:
         raise DomainError(f"{key} has {len(items)} roots, above the cap of "
                           f"{_MAX_ROOTS}")
-    roots = [_scalar(v, f"{path}.roots[{i}]") for i, v in enumerate(items)]
+    roots = [_symbol_scalar(v, f"{path}.roots[{i}]")
+             for i, v in enumerate(items)]
     return AnalyticSymbol(leading, roots)
 
 

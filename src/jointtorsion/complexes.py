@@ -88,10 +88,6 @@ class ChainComplexSpec:
         return build_subquotient(self.differential(k),
                                  self.differential(k + 1))
 
-    def homology_dims(self) -> list:
-        return [self._dims[k] - self.rank(k) - self.rank(k + 1)
-                for k in range(self.length + 1)]
-
 
 class BasedExactSequence:
     """An exact complex together with an ordered basis for each space."""
@@ -134,17 +130,11 @@ class BasedExactSequence:
             self._basis_inverses[k] = self._bases[k].inverse()
         return self._basis_inverses[k]
 
-    def bases_top_down(self):
-        n = self.length
-        if self._bases is None:
-            return [ExactMatrix.identity(self.complex.dim(k))
-                    for k in range(n, -1, -1)]
-        return [self._bases[k] for k in range(n, -1, -1)]
-
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
         digest.update(repr(self.complex.dims_by_degree).encode())
-        for g in self.bases_top_down():
+        for k in range(self.length, -1, -1):
+            g = self.basis(k) or ExactMatrix.identity(self.complex.dim(k))
             digest.update(";".join(e.to_text() for e in g.entries).encode())
         return digest.hexdigest()[:16]
 

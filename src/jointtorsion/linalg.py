@@ -14,20 +14,23 @@ transform and determinant equals the one plain elimination gives.
 
 A matrix is eliminated forward once, and that one pass gives its pivots,
 its rank and, when it is square, its determinant.  Every elimination
-reduces only the rows and columns its caller reads: a Gauss-Jordan pass
-runs only for the matrices whose reduced form (over m alone) or transform
-(over [m | I]) is read, and a subquotient back-substitutes only the rows
-of its projection.
+reduces only the rows and columns its caller reads: ``_jordan`` reduces
+[m | x] over m's columns and returns x, with x = I for the transform and
+x = the free columns of f whose kernel vectors are read beside m = f's
+pivot columns, and a subquotient back-substitutes only the rows of its
+projection.
 
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
 basis, a representative basis whose classes form a basis of the quotient,
 and a projection onto coordinates in that basis.  A product decides
-whether im g lies in ker f, and one elimination of the boundaries in cycle
-coordinates, beyond the reductions of f and g, builds the rest.  Induced
-maps on subquotients are then ordinary matrix products, and whether a map
-descends is checked exactly by products with the cycle map and the
-projection, without eliminating.
+whether im g lies in ker f.  Beyond the forward passes of f and g, one
+elimination of the boundaries in cycle coordinates picks the
+representatives and gives the projection, and one pass builds the
+representatives' kernel vectors alone.  Induced maps on subquotients are
+then ordinary matrix products, and whether a map descends is checked
+exactly by products with the cycle map and the projection, without
+eliminating.
 """
 
 from __future__ import annotations
@@ -251,12 +254,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -354,8 +351,8 @@ class ExactMatrix:
         column top-down for the first nonzero entry, with no magnitude
         heuristics, so the result depends only on the exact entries.  One
         forward elimination of m gives the pivots, the rank and, for a
-        square m, the determinant; the reduced form and the transform each
-        come from a pass of their own, run only when read.
+        square m, the determinant; the transform comes from a pass of its
+        own, run only when read.
         """
         if self._rref is not None:
             return self._rref
@@ -381,17 +378,10 @@ class ExactMatrix:
         return self.rref().rank
 
     def kernel_basis(self) -> "ExactMatrix":
-        """Basis of the kernel as matrix columns, from the free columns."""
-        res = self.rref()
-        pivot_set = set(res.pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        k = len(free)
-        ent = [ZERO] * (self.cols * k)
-        for c, f in enumerate(free):
-            ent[f * k + c] = ONE
-            for prow, pcol in enumerate(res.pivots):
-                ent[pcol * k + c] = -res.rref[prow, f]
-        return ExactMatrix(self.cols, k, ent)
+        """Basis of the kernel as matrix columns, one per free column."""
+        pivots = set(self.rref().pivots)
+        return _kernel_vectors(self, [j for j in range(self.cols)
+                                      if j not in pivots])
 
     def image_basis(self) -> "ExactMatrix":
         """Pivot columns of the original matrix, spanning the image."""
@@ -432,25 +422,22 @@ class ExactMatrix:
 
 
 class RrefResult:
-    """The reduced row echelon form ``rref`` of a matrix m, its ``pivots``
-    and ``rank``, the recorded ``transform``, an invertible matrix with
-    transform * m = rref, and for a square m its ``determinant`` (else
-    None).
+    """The ``pivots`` and ``rank`` of a matrix m, the recorded
+    ``transform``, an invertible matrix with transform * m = rref(m), and
+    for a square m its ``determinant`` (else None).
 
     Pivots, rank and determinant come from one forward elimination of m.
     Below the next pivot row the forward and the Gauss-Jordan elimination
     make the same updates, so they find the same pivots.  Most callers need
-    only those, so ``rref`` and ``transform`` are each one Gauss-Jordan
-    pass, run when first read: of m alone and of [m | I], with the same
-    pivots, row operations and clearing factors.  Reading both costs two
-    passes, which no request path does.  The result keeps m's shape and
-    entries rather than m, which caches it.  A matrix with no rows or no
-    columns is not eliminated at all: it has no pivots, it is its own
-    reduced form and its transform is the identity.
+    only those, so ``transform`` is one Gauss-Jordan pass over [m | I], run
+    when first read; rref(m) itself is never built.  The result keeps m's
+    shape and entries rather than m, which caches it.  A matrix with no
+    rows or no columns is not eliminated at all: it has no pivots and its
+    transform is the identity.
     """
 
     __slots__ = ("pivots", "rank", "determinant", "_shape", "_entries",
-                 "_rref", "_transform")
+                 "_transform")
 
     def __init__(self, rows, cols, entries, pivots, determinant):
         self.pivots = tuple(pivots)
@@ -458,32 +445,39 @@ class RrefResult:
         self.determinant = determinant
         self._shape = (rows, cols)
         self._entries = entries
-        self._rref = None
         self._transform = None
-
-    def _jordan(self, m: ExactMatrix, start: int) -> ExactMatrix:
-        """Columns ``start`` on of m after a Gauss-Jordan pass over its
-        first columns, those of the matrix this result reduces."""
-        rows, slots = _cleared_rows(m)
-        _, last, _ = _fraction_free(rows, slots, self._shape[1], 0)
-        return _block(rows, slots, last, self.rank, start, m.cols - start)
-
-    @property
-    def rref(self) -> ExactMatrix:
-        if self._rref is None:
-            n, cols = self._shape
-            m = ExactMatrix(n, cols, self._entries)
-            self._rref = self._jordan(m, 0) if n and cols else m
-        return self._rref
 
     @property
     def transform(self) -> ExactMatrix:
         if self._transform is None:
             n, cols = self._shape
             ident = ExactMatrix.identity(n)
-            m = ExactMatrix(n, cols, self._entries).hstack(ident)
-            self._transform = self._jordan(m, cols) if n and cols else ident
+            self._transform = (_jordan(ExactMatrix(n, cols, self._entries),
+                                       ident) if n and cols else ident)
         return self._transform
+
+
+def _jordan(m: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
+    """x after a Gauss-Jordan pass of [m | x] over m's columns."""
+    rows, slots = _cleared_rows(m.hstack(x))
+    pivots, last, _ = _fraction_free(rows, slots, m.cols, 0)
+    return _block(rows, slots, last, len(pivots), m.cols, x.cols)
+
+
+def _kernel_vectors(f: ExactMatrix, free: list) -> ExactMatrix:
+    """The kernel vectors of f at its free columns ``free``: 1 there, minus
+    that column of rref(f) at f's pivot columns.  These fix every row
+    operation, so a pass over them beside ``free`` gives those columns."""
+    pivots = f.rref().pivots
+    k = len(free)
+    ent = [ZERO] * (f.cols * k)
+    if pivots and free:
+        reduced = _jordan(f.select_columns(pivots), f.select_columns(free))
+        for prow, pcol in enumerate(pivots):
+            ent[pcol * k:(pcol + 1) * k] = [-e for e in reduced.row(prow)]
+    for c, j in enumerate(free):
+        ent[j * k + c] = ONE
+    return ExactMatrix(f.cols, k, ent)
 
 
 def _block(rows, slots, last, rank, start, width) -> ExactMatrix:
@@ -552,20 +546,21 @@ class Subquotient:
 def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
     """Construct the based subquotient ker f / im g, with f as its cycle map.
 
-    The cycles are f's kernel basis, the boundaries g's image basis, which
-    f must kill.  A cycle's coordinates are its entries at f's free columns,
-    so one elimination of [B | P], the rows of the boundaries and of I at
-    those columns, gives the rest.  Its pivots in B are all of B, those in
-    P the free columns of the representatives, which extend the boundaries
-    to a basis of the cycles.  Its reduced P rows past the boundaries are
-    the projection: they kill the boundaries and f's pivot columns, the
-    standard complement of the cycles.  Only those rows are read, so only
-    they are back-substituted; a zero-dimensional quotient has none, and
-    its elimination is a forward pass.
+    The cycles are f's kernel vectors, the boundaries g's image basis,
+    which f must kill.  A cycle's coordinates are its entries at f's free
+    columns, so one elimination of [B | P], the rows of the boundaries and
+    of I at those columns, gives the rest.  Its pivots in B are all of B,
+    those in P the free columns of the representatives, the kernel vectors
+    that extend the boundaries to a basis of the cycles; only they are
+    built.  Its reduced P rows past the boundaries are the projection: they
+    kill the boundaries and f's pivot columns, the standard complement of
+    the cycles.  Only those rows are read, so only they are
+    back-substituted; a zero-dimensional quotient has none, and its
+    elimination is a forward pass.
     """
     if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
-    cycles, boundaries = f.kernel_basis(), g.image_basis()
+    boundaries = g.image_basis()
     if not (f * boundaries).is_zero():
         raise DomainError("not a subquotient")
     n, nb, pivot_set = f.cols, boundaries.cols, set(f.rref().pivots)
@@ -575,9 +570,9 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
         e for j in free for e in boundaries.row(j) + ident.row(j)])
     rows, slots = _cleared_rows(stacked)
     pivots, last, _ = _fraction_free(rows, slots, stacked.cols, nb)
-    reps = [free.index(p - nb) for p in pivots[nb:]]
+    reps = [p - nb for p in pivots[nb:]]
     project = _block(rows[nb:], slots, last, len(reps), nb, n)
-    return Subquotient(f, boundaries, cycles.select_columns(reps), project)
+    return Subquotient(f, boundaries, _kernel_vectors(f, reps), project)
 
 
 def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatrix:

@@ -331,6 +331,33 @@ def test_symbol_over_the_root_cap_exits_2(monkeypatch, capsys):
         "error": f"f has {count} roots, above the cap of {cli._MAX_ROOTS}"}
 
 
+@pytest.mark.parametrize("field, path", [
+    ("leading", "$.payload.g.leading"),
+    ("roots", "$.payload.g.roots[1]"),
+])
+def test_symbol_text_over_the_cap_exits_2(monkeypatch, capsys, field, path):
+    # the text is outside the grammar, so parsing it would exit 3
+    cap = cli._MAX_SYMBOL_TEXT
+    text = "1" * cap + "_"
+    g = {"leading": "1", "roots": ["1/2"]}
+    g[field] = text if field == "leading" else ["1/2", text]
+    req = {"cmd": "toeplitz_exact",
+           "payload": {"f": {"leading": "1", "roots": ["1/3"]}, "g": g}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(req)))
+    assert cli.main([]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"{path} has {cap + 1} characters, above the cap of {cap}"}
+
+
+def test_symbol_text_at_the_cap_is_read():
+    text = "1/" + "1" * (cli._MAX_SYMBOL_TEXT - 2)
+    assert len(text) == cli._MAX_SYMBOL_TEXT
+    req = {"cmd": "toeplitz_exact",
+           "payload": {"f": {"leading": text, "roots": [text]},
+                       "g": {"leading": "1", "roots": ["1/3"]}}}
+    assert run_request(req)["report"]["winding_f"] == 1
+
+
 def test_exact_request_does_not_load_numpy():
     code = ("import sys, jointtorsion.cli as cli; "
             f"cli.run_request({ZERO_QUAD!r}); "

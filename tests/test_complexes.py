@@ -26,6 +26,10 @@ def two_term(m):
     return BasedExactSequence(ChainComplexSpec([m.cols, m.rows], [m]))
 
 
+def homology_dims(c):
+    return [c.homology(k).dim for k in range(c.length + 1)]
+
+
 def test_chain_complex_rejects_nonzero_composition():
     with pytest.raises(DomainError, match="compose to zero"):
         ChainComplexSpec([1, 1, 1], [mat([[1]]), mat([[1]])])
@@ -33,12 +37,12 @@ def test_chain_complex_rejects_nonzero_composition():
 
 def test_homology_of_short_exact_three_term():
     c = ChainComplexSpec([1, 2, 1], [mat([[1], [0]]), mat([[0, 1]])])
-    assert c.homology_dims() == [0, 0, 0]
+    assert homology_dims(c) == [0, 0, 0]
 
 
 def test_homology_of_zero_operator_two_term():
     c = ChainComplexSpec([1, 1], [mat([[0]])])
-    assert c.homology_dims() == [1, 1]
+    assert homology_dims(c) == [1, 1]
     assert c.homology(0).dim == 1
     assert c.homology(1).dim == 1
 
@@ -46,7 +50,7 @@ def test_homology_of_zero_operator_two_term():
 def test_homology_of_identity_koszul_pair():
     # 0 -> C -> C^2 -> C -> 0 with unit entries everywhere is exact
     c = ChainComplexSpec([1, 2, 1], [mat([[-1], [1]]), mat([[1, 1]])])
-    assert c.homology_dims() == [0, 0, 0]
+    assert homology_dims(c) == [0, 0, 0]
 
 
 def test_torsion_of_isomorphism_is_determinant():

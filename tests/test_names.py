@@ -1,8 +1,9 @@
 """Every public name resolves, every name the benchmark's tracer wraps or
 reads still exists in the package, so that a traced run (``--trace 1``)
-cannot break silently when a name is deleted or renamed, README's list of
-suites is the package's, and every name README says the package computes
-is one it exports.
+cannot break silently when a name is deleted or renamed, every ``rref``
+result keeps a part the tracer reads, README's list of suites is the
+package's, and every name README says the package computes is one it
+exports.
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
 are plain literals, and the scalar attributes it reads are found in its
@@ -90,6 +91,22 @@ def test_every_scalar_attribute_the_tracer_reads_exists():
     x = jointtorsion.QiScalar((3, 4), (-1, 2))
     for attr in read:
         assert type(getattr(x, attr, None)) is int, f"QiScalar.{attr}"
+
+
+def test_rref_results_keep_an_attribute_the_tracer_reads():
+    # _rref_counting takes a max over the parts of each fresh rref result
+    # that exist, so a result with none of them would make it raise
+    counting = next(node for node in ast.walk(tracing_tree())
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "_rref_counting")
+    parts = [ast.literal_eval(node.iter) for node in ast.walk(counting)
+             if isinstance(node, ast.comprehension)
+             and isinstance(node.iter, ast.Tuple)]
+    assert parts
+    res = jointtorsion.ExactMatrix.identity(2).rref()
+    for names in parts:
+        assert any(getattr(res, name, None) is not None for name in names), \
+            f"RrefResult has none of {names}"
 
 
 def test_readme_lists_every_suite():
