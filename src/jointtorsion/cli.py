@@ -12,11 +12,12 @@ symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
 longer than ``_MAX_SYMBOL_TEXT`` characters), 3 parse error (malformed
 JSON or a payload that does not match the command's schema, including
 scalar text outside the ASCII grammar, a negative dimension, a seed that
-is not an integer and a trig coefficient that is a boolean or not a finite
-number; messages carry the JSON path), 4 internal error (any other
-exception; the body is {"error": "..."}, never a traceback).  Output bytes
-are identical for identical (request, seed); wall-clock timing is only
-included when the request sets "timing": true.
+is not an integer, a trig degree key outside ``0|-?[1-9][0-9]*`` and a trig
+coefficient that is a boolean or not a finite number; messages carry the
+JSON path), 4 internal error (any other exception; the body is
+{"error": "..."}, never a traceback).  Output bytes are identical for
+identical (request, seed); wall-clock timing is only included when the
+request sets "timing": true.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -50,6 +52,10 @@ _MAX_OPERATOR_DIM = 20
 # cost grows about 1.9x per root.
 _MAX_ROOTS = 12
 _MAX_SYMBOL_TEXT = 12
+
+# A trig coefficient's degree key: 0 or a signed integer in ASCII digits
+# without a leading +, zero or blank, so that no two keys read as one degree.
+_DEGREE_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class SchemaError(ValueError):
@@ -161,9 +167,11 @@ def _trig_poly(value, path: str) -> TrigPoly:
     out = {}
     for key, pair in coeffs.items():
         try:
-            degree = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.coeffs: bad degree {key!r}") from exc
+            degree = int(key) if _DEGREE_TEXT.fullmatch(key) else None
+        except ValueError:  # more digits than int() reads
+            degree = None
+        if degree is None:
+            raise SchemaError(f"{path}.coeffs: bad degree {key!r}")
         arr = _as_list(pair, f"{path}.coeffs.{key}")
         if len(arr) != 2:
             raise SchemaError(f"{path}.coeffs.{key}: expected [re, im]")

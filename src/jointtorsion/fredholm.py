@@ -111,6 +111,13 @@ def exp_symbol_coeffs(f: TrigPoly) -> tuple:
     Term-accumulated products: the running term f^j / j! is convolved at
     full support, with no truncation.  The series stops once a term falls
     below 1e-25 (from the second term on), or after ``_MAX_TERMS`` terms.
+    The second stop is never reached under the 1-norm cap ``_MAX_NORM``:
+    convolution is submultiplicative in the 1-norm, so every coefficient of
+    term j is at most ||f||_1^j / j! <= 40^j / j!, which is below 1e-25
+    (10^-25.36) from j = 155 on, well inside ``_MAX_TERMS`` = 400; rounding
+    moves a term by a relative amount of order j * 1e-16, far less than that
+    margin.  ``numeric_det_invariant`` applies the cap to f and g, and the
+    pieces of ``split`` have at most their 1-norm.
     Term j of e^-f is (-1)^j times term j of e^f in every nonzero part,
     since negating the inputs of a product, a sum or the division by j
     negates its rounded result, so one series gives both sums.  Zero parts

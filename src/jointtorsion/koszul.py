@@ -83,6 +83,14 @@ _SPACE_LABELS = ("ker_A", "coker_A", "ker_B", "coker_B", "ker_C", "coker_C",
                  "ker_D", "coker_D", "ker_B_cap_ker_D", "H1", "H0")
 
 
+def _kernel_cokernel(op: ExactMatrix) -> tuple:
+    """(ker op, coker op) as subquotients of a square operator: ker op is
+    ker op / im (0 -> H) and coker op is ker (H -> 0) / im op."""
+    h = op.rows
+    return (build_subquotient(op, ExactMatrix.zero(h, 0)),
+            build_subquotient(ExactMatrix.zero(0, h), op))
+
+
 class QuadHomology:
     """The eleven homology spaces of a quadruple, with shared bases.
 
@@ -93,13 +101,9 @@ class QuadHomology:
 
     def __init__(self, q: KoszulQuadruple, rebasing=None):
         self.quad = q
-        # ker X = ker X / im (0 -> H) and coker X = ker (H -> 0) / im X
-        h = q.dim
-        zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
         sq = {}
         for name, op in zip("ABCD", (q.a, q.b, q.c, q.d)):
-            sq[f"ker_{name}"] = build_subquotient(op, zero_in)
-            sq[f"coker_{name}"] = build_subquotient(zero_out, op)
+            sq[f"ker_{name}"], sq[f"coker_{name}"] = _kernel_cokernel(op)
         sq["ker_B_cap_ker_D"] = q.complex.homology(2)
         sq["H1"] = q.complex.homology(1)
         sq["H0"] = q.complex.homology(0)
@@ -181,10 +185,7 @@ def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases=None) -> QiScalar:
     if a.rows != a.cols or d.rows != d.cols or a.rows != d.rows:
         raise DomainError("shape mismatch")
     if bases is None:
-        h = a.rows
-        zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
-        bases = (build_subquotient(a, zero_in), build_subquotient(zero_out, a),
-                 build_subquotient(d, zero_in), build_subquotient(zero_out, d))
+        bases = _kernel_cokernel(a) + _kernel_cokernel(d)
     ker_a, coker_a, ker_d, coker_d = bases
     tau_a = torsion_scalar(_four_term_sequence(a, ker_a, coker_a))
     tau_d = torsion_scalar(_four_term_sequence(d, ker_d, coker_d))
@@ -379,35 +380,36 @@ def factorization_identities(q: KoszulQuadruple, u: ExactMatrix, which: str):
         raise DomainError("U not invertible")
     a, b, c, d = q.a, q.b, q.c, q.d
     u_inv = u.inverse()
-    h = q.dim
-    zero_in, zero_out = ExactMatrix.zero(h, 0), ExactMatrix.zero(0, h)
 
-    def t_ker(x, x2):
-        """t(U^-1 | ker x), onto ker x2."""
-        return induced_map(u_inv, build_subquotient(x, zero_in),
-                           build_subquotient(x2, zero_in)).determinant()
-
-    def t_coker(x, x2):
-        """t(U^-1 | coker x), onto coker x2."""
-        return induced_map(u_inv, build_subquotient(zero_out, x),
-                           build_subquotient(zero_out, x2)).determinant()
+    def t(space, image):
+        """t(U^-1 | space), onto the image space."""
+        return induced_map(u_inv, space, image).determinant()
 
     if which == "sigma-conjugate":
         d2 = u_inv * d * u
-        lhs = perturbation_sigma(a, d2)
-        rhs = (perturbation_sigma(a, d) * t_ker(d, d2)
-               * t_coker(d, d2).inverse())
+        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
+        spaces_d2 = _kernel_cokernel(d2)
+        lhs = perturbation_sigma(a, d2, spaces_a + spaces_d2)
+        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
+               * t(spaces_d[0], spaces_d2[0])
+               * t(spaces_d[1], spaces_d2[1]).inverse())
         return lhs, rhs
     if which == "sigma-right-shift":
         a2, d2 = a * u, d * u
-        lhs = perturbation_sigma(a2, d2)
-        rhs = (perturbation_sigma(a, d) * t_ker(a, a2).inverse()
-               * t_ker(d, d2))
+        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
+        spaces_a2, spaces_d2 = _kernel_cokernel(a2), _kernel_cokernel(d2)
+        lhs = perturbation_sigma(a2, d2, spaces_a2 + spaces_d2)
+        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
+               * t(spaces_a[0], spaces_a2[0]).inverse()
+               * t(spaces_d[0], spaces_d2[0]))
         return lhs, rhs
     if which == "sigma-det-class":
         d2 = d * u
-        lhs = perturbation_sigma(a, d2)
-        rhs = perturbation_sigma(a, d) * t_ker(d, d2) * u.determinant()
+        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
+        spaces_d2 = _kernel_cokernel(d2)
+        lhs = perturbation_sigma(a, d2, spaces_a + spaces_d2)
+        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
+               * t(spaces_d[0], spaces_d2[0]) * u.determinant())
         return lhs, rhs
     if which == "quad-conjugate":
         lhs = joint_torsion_quad(

@@ -11,7 +11,7 @@ from jointtorsion import cli, fredholm, linalg
 from jointtorsion.cli import SchemaError, run_request
 from jointtorsion.errors import DomainError
 from jointtorsion.randgen import child_rng, random_invertible
-from jointtorsion.suites import run_suite
+from jointtorsion.suites import SUITES, run_suite
 
 
 def invoke(request=None, flags=()):
@@ -214,11 +214,8 @@ def test_run_request_schema_error_paths():
 def test_injected_failure_reports_reproducer(monkeypatch):
     from jointtorsion import suites as suites_mod
 
-    def always_failing(seed, index):
-        return [{"property": "synthetic check", "pass": False,
-                 "reproducer": {"cmd": "verify",
-                                "payload": {"suite": "synthetic", "count": index + 1},
-                                "seed": seed}}]
+    def always_failing(rng, index):
+        return [("synthetic check", False, None)]
 
     monkeypatch.setitem(suites_mod.SUITES, "synthetic", always_failing)
     summary = suites_mod.run_suite("synthetic", seed=9, count=3)
@@ -234,14 +231,56 @@ def test_suite_instances_run_in_index_order(monkeypatch):
 
     seen = []
 
-    def recording(seed, index):
+    def recording(rng, index):
         seen.append(index)
-        return [{"property": "recorded", "pass": True, "reproducer": None}]
+        return [("recorded", True, None)]
 
     monkeypatch.setitem(suites_mod.SUITES, "recording", recording)
     summary = suites_mod.run_suite("recording", seed=1, count=12)
     assert seen == list(range(12))
     assert summary["passes"] == 12
+
+
+def test_run_suite_streams_reproducers_and_tally(monkeypatch):
+    from jointtorsion import suites as suites_mod
+
+    own = {"cmd": "joint_torsion_quad", "payload": {"dim": 0}}
+    draws = []
+
+    def rows(rng, index):
+        draws.append(rng.random())
+        return [("passes", True, None), ("fails bare", index != 1, None),
+                ("fails with a request", index != 2, own)]
+
+    monkeypatch.setitem(suites_mod.SUITES, "rows", rows)
+    summary = suites_mod.run_suite("rows", seed=17, count=4)
+    # instance i draws from child_rng(seed, i)
+    assert draws == [child_rng(17, i).random() for i in range(4)]
+    # a failing row without a request gets the verify reproducer, one with
+    # a request keeps it
+    assert summary["failures"] == [
+        {"index": 1, "property": "fails bare",
+         "reproducer": {"cmd": "verify",
+                        "payload": {"suite": "rows", "count": 2},
+                        "seed": 17}},
+        {"index": 2, "property": "fails with a request", "reproducer": own}]
+    assert summary["passes"] == 2
+    assert summary["properties"] == {
+        "passes": {"pass": 4, "fail": 0},
+        "fails bare": {"pass": 3, "fail": 1},
+        "fails with a request": {"pass": 3, "fail": 1}}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_returns_a_list_of_rows(name):
+    # a list, not a generator: a caller that wraps a runner (the benchmark's
+    # tracer times each instance this way) must see all of its work
+    rows = SUITES[name](child_rng(5, 0), 0)
+    assert isinstance(rows, list) and rows
+    for row in rows:
+        prop, holds, request = row
+        assert isinstance(prop, str) and holds in (True, False)
+        assert request is None or request["cmd"] != "verify"
 
 
 def test_seed_flag_fills_missing_seed():
@@ -366,6 +405,19 @@ def test_exact_request_does_not_load_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("key", ["+1", "01", " 1", "\u0661", "1_0", "-0"])
+def test_trig_degree_key_outside_the_grammar_exits_3(key):
+    # each of these keys read as degree 1, 10 or 0 before, so "+1" beside
+    # "1" overwrote degree 1 without an error
+    req = {"cmd": "toeplitz_numeric",
+           "payload": {"f": {"coeffs": {"1": [0.1, 0.0], key: [0.2, 0.0]}},
+                       "g": {"coeffs": {"-1": [0.5, 0.0]}}, "n": 32}}
+    proc = invoke(req)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
+        "error": f"$.payload.f.coeffs: bad degree {key!r}"}
 
 
 @pytest.mark.parametrize("text", ["\u0661", "1_0", "1 0"])

@@ -461,6 +461,26 @@ def test_span_and_norm_caps_admit_a_symbol_at_the_caps(monkeypatch):
         numeric_det_invariant(at_caps, at_caps, 32)
 
 
+@pytest.mark.parametrize("poly", [
+    TrigPoly({1: NORM_CAP}),
+    TrigPoly({-2: 12.0, 1: -8j, 3: 6 + 8j, 4: 10.0}),
+])
+def test_series_at_the_norm_cap_stop_before_the_term_cap(monkeypatch, poly):
+    # Term j is at most 40^j / j!, below 1e-25 from j = 155 on, so the
+    # series stops there and a term cap of 200 changes nothing.
+    assert sum(map(abs, poly.coeffs.values())) == NORM_CAP
+    full = exp_symbol_coeffs(poly)
+    monkeypatch.setattr(fredholm, "_MAX_TERMS", 200)
+    for got, want in zip(exp_symbol_coeffs(poly), full):
+        assert list(got) == list(want)
+        assert [bits(v) for v in got.values()] == [
+            bits(v) for v in want.values()]
+    # both series run past term 130 (the first to term 155, where the
+    # bound is tight), so a cap of 130 cuts them short
+    monkeypatch.setattr(fredholm, "_MAX_TERMS", 130)
+    assert exp_symbol_coeffs(poly) != full
+
+
 @pytest.mark.parametrize("f, g, n, growth", [
     # closed form 1; returned -3.5e240 before the cap
     (TrigPoly({k: 40 / 33 for k in range(-SPAN_CAP, SPAN_CAP + 1)}),

@@ -11,7 +11,7 @@ from jointtorsion import (BasedExactSequence, DomainError, ExactMatrix,
                           joint_torsion_pair, joint_torsion_quad,
                           perturbation_sigma, pseudoinv_formula,
                           torsion_scalar)
-from jointtorsion import linalg
+from jointtorsion import complexes, koszul, linalg
 from jointtorsion.koszul import QuadHomology
 from jointtorsion.randgen import (child_rng, random_commuting_pair,
                                   random_exact_sequence, random_invertible,
@@ -303,6 +303,31 @@ def test_factorization_identities_random():
             u = random_invertible(rng, n, mag=2)
             lhs, rhs = factorization_identities(q, u, which)
             assert lhs == rhs, which
+
+
+@pytest.mark.parametrize("which, builds", [
+    # 12, 12 and 10 when each sigma and each induced determinant built its
+    # own kernels and cokernels
+    ("sigma-conjugate", 6), ("sigma-right-shift", 8), ("sigma-det-class", 6),
+    # eleven homology spaces per joint torsion
+    ("quad-conjugate", 22), ("quad-slide", 22),
+])
+def test_factorization_builds_each_space_once(monkeypatch, which, builds):
+    calls = []
+    build = linalg.build_subquotient
+
+    def counted(f, g):
+        calls.append((f, g))
+        return build(f, g)
+
+    for mod in (complexes, koszul):
+        monkeypatch.setattr(mod, "build_subquotient", counted)
+    rng = child_rng(17, 15)
+    q = random_quadruple(rng, 3)
+    u = random_invertible(rng, 3, mag=2)
+    lhs, rhs = factorization_identities(q, u, which)
+    assert lhs == rhs
+    assert len(calls) == builds
 
 
 def test_factorization_rejects_singular_u():
