@@ -7,7 +7,8 @@ command lives inside the request, so suites are plain data:
     jointtorsion --suite finite-triviality --seed 7 --count 200
 
 Exit codes: 0 success, 2 domain error (a module precondition failed, a
-quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, or a toeplitz_exact
+quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, torsion ``spaces`` that
+sum to more than ``_MAX_SPACES_TOTAL``, or a toeplitz_exact
 symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
 longer than ``_MAX_SYMBOL_TEXT`` characters), 3 parse error (malformed
 JSON or a payload that does not match the command's schema, including
@@ -45,6 +46,13 @@ _COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
 # A dim-20 quadruple with invertible D takes 3-4 s on a 2-vCPU machine, and
 # the cost grows about 5x per four dimensions.
 _MAX_OPERATOR_DIM = 20
+
+# A dense two-term torsion request at [64, 64] with entries p/q + r/s i,
+# |p|, |r|, q, s <= 4, takes about 0.35 s on a 2-vCPU machine, and about
+# 1.1 s and 23 MB peak with a random basis of that size for both spaces;
+# [96, 96] took 3 s.  Without the cap, spaces [n, 0, n] with no entries
+# filled an n x n product of zeros before failing.
+_MAX_SPACES_TOTAL = 128
 
 # toeplitz_exact with f and g each given 12 roots inside the disk, each
 # root 1/p + 1/q i on its own two 3-digit primes (12 characters), takes
@@ -195,6 +203,9 @@ def _handle_torsion(payload: dict) -> dict:
     spaces = [_as_dim(v, f"$.payload.spaces[{i}]") for i, v in
               enumerate(_as_list(_need(payload, "spaces", "$.payload"),
                                  "$.payload.spaces"))]
+    if sum(spaces) > _MAX_SPACES_TOTAL:
+        raise DomainError(f"spaces total {sum(spaces)} exceeds the cap of "
+                          f"{_MAX_SPACES_TOTAL}")
     diffs_raw = _as_list(_need(payload, "differentials", "$.payload"),
                          "$.payload.differentials")
     if len(diffs_raw) != max(len(spaces) - 1, 0):

@@ -110,7 +110,6 @@ class BasedExactSequence:
                 if g.rank() != g.rows:
                     raise DomainError("singular change of basis")
         self._bases = bases
-        self._basis_inverses = None
 
     @property
     def length(self) -> int:
@@ -120,15 +119,6 @@ class BasedExactSequence:
         if self._bases is None:
             return None
         return self._bases[k]
-
-    def basis_inverse(self, k: int):
-        if self._bases is None:
-            return None
-        if self._basis_inverses is None:
-            self._basis_inverses = [None] * (self.length + 1)
-        if self._basis_inverses[k] is None:
-            self._basis_inverses[k] = self._bases[k].inverse()
-        return self._basis_inverses[k]
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()

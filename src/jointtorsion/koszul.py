@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
-from .scalars import QiScalar
+from .scalars import ZERO, QiScalar
 
 
 class KoszulQuadruple:
@@ -79,10 +79,6 @@ class KoszulQuadruple:
         self.dim = h
 
 
-_SPACE_LABELS = ("ker_A", "coker_A", "ker_B", "coker_B", "ker_C", "coker_C",
-                 "ker_D", "coker_D", "ker_B_cap_ker_D", "H1", "H0")
-
-
 def _kernel_cokernel(op: ExactMatrix) -> tuple:
     """(ker op, coker op) as subquotients of a square operator: ker op is
     ker op / im (0 -> H) and coker op is ker (H -> 0) / im op."""
@@ -92,7 +88,8 @@ def _kernel_cokernel(op: ExactMatrix) -> tuple:
 
 
 class QuadHomology:
-    """The eleven homology spaces of a quadruple, with shared bases.
+    """The eleven homology spaces of a quadruple, with shared bases, in the
+    order ker_A, coker_A, ..., ker_D, coker_D, ker_B_cap_ker_D, H1, H0.
 
     ``rebasing`` optionally recombines the representative basis of any space
     by an invertible matrix (keyed by label); the joint torsion value must
@@ -115,7 +112,7 @@ class QuadHomology:
         self.spaces = sq
 
     def dims(self) -> dict:
-        return {label: self.spaces[label].dim for label in _SPACE_LABELS}
+        return {label: space.dim for label, space in self.spaces.items()}
 
 
 def _as_based_sequence(dims_top_down, diffs_top_down) -> BasedExactSequence:
@@ -126,37 +123,25 @@ def _as_based_sequence(dims_top_down, diffs_top_down) -> BasedExactSequence:
 
 
 def build_eps_sequences(q: KoszulQuadruple, homology: QuadHomology | None = None):
-    """The two eight-term exact sequences of the quadruple, based."""
+    """The two eight-term exact sequences of the quadruple, based.  Each is
+    given by its seven spaces, top down, and the six operators on the
+    ambient spaces that induce its maps."""
     if homology is None:
         homology = QuadHomology(q)
     sq = homology.spaces
-    h = q.dim
-    ident = ExactMatrix.identity(h)
-    include_second = ExactMatrix.zero(h, h).vstack(ident)
-    include_first = ident.vstack(ExactMatrix.zero(h, h))
-    project_first = ident.hstack(ExactMatrix.zero(h, h))
-    project_second = ExactMatrix.zero(h, h).hstack(ident)
-
-    eps_ad = _as_based_sequence(
-        [sq["ker_B_cap_ker_D"].dim, sq["ker_B"].dim, sq["ker_C"].dim,
-         sq["H1"].dim, sq["coker_B"].dim, sq["coker_C"].dim, sq["H0"].dim],
-        [induced_map(ident, sq["ker_B_cap_ker_D"], sq["ker_B"]),
-         induced_map(q.d, sq["ker_B"], sq["ker_C"]),
-         induced_map(include_second, sq["ker_C"], sq["H1"]),
-         induced_map(project_first, sq["H1"], sq["coker_B"]),
-         induced_map(q.a, sq["coker_B"], sq["coker_C"]),
-         induced_map(ident, sq["coker_C"], sq["H0"])])
-
-    eps_bc = _as_based_sequence(
-        [sq["ker_B_cap_ker_D"].dim, sq["ker_D"].dim, sq["ker_A"].dim,
-         sq["H1"].dim, sq["coker_D"].dim, sq["coker_A"].dim, sq["H0"].dim],
-        [induced_map(-ident, sq["ker_B_cap_ker_D"], sq["ker_D"]),
-         induced_map(q.b, sq["ker_D"], sq["ker_A"]),
-         induced_map(include_first, sq["ker_A"], sq["H1"]),
-         induced_map(project_second, sq["H1"], sq["coker_D"]),
-         induced_map(q.c, sq["coker_D"], sq["coker_A"]),
-         induced_map(ident, sq["coker_A"], sq["H0"])])
-    return eps_ad, eps_bc
+    ident = ExactMatrix.identity(q.dim)
+    zero = ExactMatrix.zero(q.dim, q.dim)
+    tables = (
+        (("ker_B_cap_ker_D", "ker_B", "ker_C", "H1", "coker_B", "coker_C", "H0"),
+         (ident, q.d, zero.vstack(ident), ident.hstack(zero), q.a, ident)),
+        (("ker_B_cap_ker_D", "ker_D", "ker_A", "H1", "coker_D", "coker_A", "H0"),
+         (-ident, q.b, ident.vstack(zero), zero.hstack(ident), q.c, ident)),
+    )
+    return tuple(
+        _as_based_sequence([sq[label].dim for label in labels],
+                           [induced_map(op, sq[src], sq[dst]) for op, src, dst
+                            in zip(ops, labels, labels[1:])])
+        for labels, ops in tables)
 
 
 def _four_term_sequence(op: ExactMatrix, ker_sq: Subquotient,
@@ -271,54 +256,27 @@ def graded_determinant(seq: BasedExactSequence) -> QiScalar:
     """
     cpx = seq.complex
     n = cpx.length
-    plus_deg = [k for k in range(n, -1, -1) if (n - k) % 2 == 0]
-    minus_deg = [k for k in range(n, -1, -1) if (n - k) % 2 == 1]
-    plus_dim = sum(cpx.dim(k) for k in plus_deg)
-    minus_dim = sum(cpx.dim(k) for k in minus_deg)
-    if plus_dim != minus_dim:
+    offset, size = {}, [0, 0]
+    for k in range(n, -1, -1):
+        offset[k] = size[(n - k) % 2]
+        size[(n - k) % 2] += cpx.dim(k)
+    if size[0] != size[1]:
         raise DomainError("sequence not exact")
-    plus_off = _offsets(cpx, plus_deg)
-    minus_off = _offsets(cpx, minus_deg)
-
-    def based_diff(k):
+    m = size[0]
+    grids = ([ZERO] * (m * m), [ZERO] * (m * m))  # D_+, D_-
+    for k in range(n, 0, -1):
         d = cpx.differential(k)
-        binv = seq.basis_inverse(k - 1)
-        g = seq.basis(k)
-        if binv is not None:
-            d = binv * d
-        if g is not None:
-            d = d * g
-        return d
-
-    def fold(src_deg, src_off, dst_off, dim_dst, dim_src):
-        ent = [[QiScalar(0)] * dim_src for _ in range(dim_dst)]
-        for k in src_deg:
-            if k == 0 or (k - 1) not in dst_off:
-                continue
-            d = based_diff(k)
-            r0, c0 = dst_off[k - 1], src_off[k]
-            for i in range(d.rows):
-                row = ent[r0 + i]
-                for j in range(d.cols):
-                    row[c0 + j] = d[i, j]
-        return ExactMatrix(dim_dst, dim_src, [v for row in ent for v in row])
-
-    d_plus = fold(plus_deg, plus_off, minus_off, minus_dim, plus_dim)
-    d_minus = fold(minus_deg, minus_off, plus_off, plus_dim, minus_dim)
-    total = d_plus + d_minus.pseudoinverse()
-    det = total.determinant()
+        if seq.basis(k) is not None:
+            d = seq.basis(k - 1).inverse() * d * seq.basis(k)
+        grid, r0, c0 = grids[(n - k) % 2], offset[k - 1], offset[k]
+        for i in range(d.rows):
+            start = (r0 + i) * m + c0
+            grid[start:start + d.cols] = d.row(i)
+    d_plus, d_minus = (ExactMatrix(m, m, grid) for grid in grids)
+    det = (d_plus + d_minus.pseudoinverse()).determinant()
     if det.is_zero():
         raise RuntimeError("internal: folded map is singular on an exact sequence")
     return det
-
-
-def _offsets(cpx, degrees):
-    off = {}
-    pos = 0
-    for k in degrees:
-        off[k] = pos
-        pos += cpx.dim(k)
-    return off
 
 
 def _rank_parity_correction(seq: BasedExactSequence) -> int:
@@ -381,43 +339,28 @@ def factorization_identities(q: KoszulQuadruple, u: ExactMatrix, which: str):
     a, b, c, d = q.a, q.b, q.c, q.d
     u_inv = u.inverse()
 
+    if which in ("quad-conjugate", "quad-slide"):
+        moved = ((a, b * u, c * u, u_inv * d * u) if which == "quad-conjugate"
+                 else (a, b, c * u, u_inv * d))
+        return (joint_torsion_quad(KoszulQuadruple(*moved)).value,
+                joint_torsion_quad(q).value)
+    if which not in FACTORIZATION_SELECTORS:
+        raise DomainError(f"unknown identity selector {which!r}")
+
     def t(space, image):
         """t(U^-1 | space), onto the image space."""
         return induced_map(u_inv, space, image).determinant()
 
+    a2 = a * u if which == "sigma-right-shift" else a
+    d2 = u_inv * d * u if which == "sigma-conjugate" else d * u
+    spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
+    spaces_a2 = spaces_a if a2 is a else _kernel_cokernel(a2)
+    spaces_d2 = _kernel_cokernel(d2)
+    lhs = perturbation_sigma(a2, d2, spaces_a2 + spaces_d2)
+    shared = (perturbation_sigma(a, d, spaces_a + spaces_d)
+              * t(spaces_d[0], spaces_d2[0]))
     if which == "sigma-conjugate":
-        d2 = u_inv * d * u
-        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
-        spaces_d2 = _kernel_cokernel(d2)
-        lhs = perturbation_sigma(a, d2, spaces_a + spaces_d2)
-        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
-               * t(spaces_d[0], spaces_d2[0])
-               * t(spaces_d[1], spaces_d2[1]).inverse())
-        return lhs, rhs
+        return lhs, shared * t(spaces_d[1], spaces_d2[1]).inverse()
     if which == "sigma-right-shift":
-        a2, d2 = a * u, d * u
-        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
-        spaces_a2, spaces_d2 = _kernel_cokernel(a2), _kernel_cokernel(d2)
-        lhs = perturbation_sigma(a2, d2, spaces_a2 + spaces_d2)
-        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
-               * t(spaces_a[0], spaces_a2[0]).inverse()
-               * t(spaces_d[0], spaces_d2[0]))
-        return lhs, rhs
-    if which == "sigma-det-class":
-        d2 = d * u
-        spaces_a, spaces_d = _kernel_cokernel(a), _kernel_cokernel(d)
-        spaces_d2 = _kernel_cokernel(d2)
-        lhs = perturbation_sigma(a, d2, spaces_a + spaces_d2)
-        rhs = (perturbation_sigma(a, d, spaces_a + spaces_d)
-               * t(spaces_d[0], spaces_d2[0]) * u.determinant())
-        return lhs, rhs
-    if which == "quad-conjugate":
-        lhs = joint_torsion_quad(
-            KoszulQuadruple(a, b * u, c * u, u_inv * d * u)).value
-        rhs = joint_torsion_quad(q).value
-        return lhs, rhs
-    if which == "quad-slide":
-        lhs = joint_torsion_quad(KoszulQuadruple(a, b, c * u, u_inv * d)).value
-        rhs = joint_torsion_quad(q).value
-        return lhs, rhs
-    raise DomainError(f"unknown identity selector {which!r}")
+        return lhs, shared * t(spaces_a[0], spaces_a2[0]).inverse()
+    return lhs, shared * u.determinant()

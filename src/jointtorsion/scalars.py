@@ -239,7 +239,6 @@ def _rat_pair(text: str) -> tuple[int, int]:
 
 ZERO = _raw(0, 0, 1)
 ONE = _raw(1, 0, 1)
-I = _raw(0, 1, 1)
 
 
 def qi_modulus_cmp_one(x: QiScalar) -> str:

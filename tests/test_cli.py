@@ -342,6 +342,17 @@ def test_operator_dim_over_the_cap_exits_2(cmd):
         "error": f"dim {dim} exceeds the cap of {cli._MAX_OPERATOR_DIM}"}
 
 
+def test_torsion_spaces_over_the_cap_exit_2():
+    # rejected before any matrix is read, so the missing differentials are
+    # no schema error
+    total = cli._MAX_SPACES_TOTAL + 1
+    proc = invoke({"cmd": "torsion", "payload": {"spaces": [total, 0]}})
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": f"spaces total {total} exceeds the cap of "
+                 f"{cli._MAX_SPACES_TOTAL}"}
+
+
 def test_trig_poly_over_the_span_cap_exits_2(monkeypatch, capsys):
     def refuse(poly):
         raise AssertionError("summed an exponential series")

@@ -330,6 +330,18 @@ def test_factorization_builds_each_space_once(monkeypatch, which, builds):
     assert len(calls) == builds
 
 
+def test_factorization_rejects_a_wrong_shape_u():
+    q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
+    with pytest.raises(DomainError, match="U has the wrong shape"):
+        factorization_identities(q, ExactMatrix.identity(2), "sigma-conjugate")
+
+
+def test_factorization_rejects_an_unknown_selector():
+    q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
+    with pytest.raises(DomainError, match="unknown identity selector 'sigma'"):
+        factorization_identities(q, ONE1, "sigma")
+
+
 def test_factorization_rejects_singular_u():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
     with pytest.raises(DomainError, match="U not invertible"):
