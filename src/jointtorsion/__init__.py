@@ -19,19 +19,19 @@ from .koszul import (FACTORIZATION_SELECTORS, JointTorsionReport,
                      perturbation_sigma, pseudoinv_formula)
 from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
 from .scalars import QiScalar, qi_modulus_cmp_one
-from .toeplitz import (AnalyticSymbol, RestrictionData, coker_action,
-                       restriction_data, restriction_sequences, tame_symbol,
+from .toeplitz import (AnalyticSymbol, coker_action, restriction_data,
+                       restriction_sequences, tame_symbol,
                        toeplitz_joint_torsion)
 
 __all__ = [
     "AnalyticSymbol", "BasedExactSequence", "ChainComplexSpec", "DomainError",
     "ExactMatrix", "FACTORIZATION_SELECTORS", "JointTorsionReport",
-    "KoszulQuadruple", "RestrictionData", "Subquotient", "TrigPoly",
-    "build_eps_sequences", "build_subquotient", "closed_form_di",
-    "coker_action", "exp_symbol_coeffs", "factorization_identities",
-    "graded_determinant", "induced_map", "joint_torsion_pair",
-    "joint_torsion_quad", "numeric_det_invariant", "perturbation_sigma",
-    "pseudoinv_formula", "qi_modulus_cmp_one", "QiScalar", "restriction_data",
+    "KoszulQuadruple", "Subquotient", "TrigPoly", "build_eps_sequences",
+    "build_subquotient", "closed_form_di", "coker_action",
+    "exp_symbol_coeffs", "factorization_identities", "graded_determinant",
+    "induced_map", "joint_torsion_pair", "joint_torsion_quad",
+    "numeric_det_invariant", "perturbation_sigma", "pseudoinv_formula",
+    "qi_modulus_cmp_one", "QiScalar", "restriction_data",
     "restriction_sequences", "tame_symbol", "toeplitz_joint_torsion",
     "torsion_scalar",
 ]

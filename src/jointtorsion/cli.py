@@ -8,11 +8,15 @@ command lives inside the request, so suites are plain data:
 
 Exit codes: 0 success, 2 domain error (a module precondition failed, a
 quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, torsion ``spaces`` that
-sum to more than ``_MAX_SPACES_TOTAL``, or a toeplitz_exact
+sum to more than ``_MAX_SPACES_TOTAL``, a toeplitz_exact
 symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
-longer than ``_MAX_SYMBOL_TEXT`` characters), 3 parse error (malformed
-JSON or a payload that does not match the command's schema, including
-scalar text outside the ASCII grammar, a negative dimension, a seed that
+longer than ``_MAX_SYMBOL_TEXT`` characters, a verify ``count`` above
+``_MAX_SUITE_COUNT``, or a result part with more digits than
+``sys.get_int_max_str_digits()``), 3 parse error (malformed JSON, including
+an integer literal over that digit limit and nesting deeper than the
+recursion limit, or a payload that does not match the command's schema,
+including scalar text outside the ASCII grammar or with a part over the
+digit limit, a negative dimension, a seed that
 is not an integer, a trig degree key outside ``0|-?[1-9][0-9]*`` and a trig
 coefficient that is a boolean or not a finite number; messages carry the
 JSON path), 4 internal error (any other exception; the body is
@@ -60,6 +64,11 @@ _MAX_SPACES_TOTAL = 128
 # cost grows about 1.9x per root.
 _MAX_ROOTS = 12
 _MAX_SYMBOL_TEXT = 12
+
+# numeric-convergence, the costliest suite per instance, took 4.1 s at
+# count 200 on a 2-vCPU machine, so about 8 s at the cap; the acceptance
+# criteria run at most 250 instances.
+_MAX_SUITE_COUNT = 400
 
 # A trig coefficient's degree key: 0 or a signed integer in ASCII digits
 # without a leading +, zero or blank, so that no two keys read as one degree.
@@ -285,6 +294,9 @@ def _handle_verify(payload: dict, seed: int) -> dict:
     if not isinstance(name, str):
         raise SchemaError("$.payload.suite: expected a string")
     count = _as_int(_need(payload, "count", "$.payload"), "$.payload.count")
+    if count > _MAX_SUITE_COUNT:
+        raise DomainError(f"count {count} exceeds the cap of "
+                          f"{_MAX_SUITE_COUNT}")
     return run_suite(name, seed, count)
 
 
@@ -333,6 +345,11 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             _emit({"error": f"parse error at line {exc.lineno} column "
                             f"{exc.colno}: {exc.msg}"})
+            return 3
+        except (ValueError, RecursionError) as exc:
+            # an integer literal longer than int() reads, or nesting deeper
+            # than the recursion limit
+            _emit({"error": f"parse error: {exc}"})
             return 3
         if args.seed is not None and isinstance(request, dict):
             request.setdefault("seed", args.seed)

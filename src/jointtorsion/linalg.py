@@ -237,14 +237,6 @@ class ExactMatrix:
             ent[i * n + i] = ONE
         return cls(n, n, ent)
 
-    @classmethod
-    def scalar_diag(cls, n: int, value) -> "ExactMatrix":
-        value = _to_scalar(value)
-        ent = [ZERO] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = value
-        return cls(n, n, ent)
-
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, key):

@@ -16,8 +16,11 @@ grammar is strict: ASCII digits, no whitespace, no leading ``+``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
+
+from .errors import DomainError
 
 
 def _as_pair(value) -> tuple[int, int]:
@@ -50,14 +53,6 @@ class QiScalar:
         self.a, self.b, self.d = a // g, b // g, d // g
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
 
     # The parts in lowest terms, computed on read.  Kept though no request
     # reads them: the benchmark's tracer (benchmark/tracing.py::_bits) and
@@ -145,10 +140,6 @@ class QiScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def modulus_sq(self) -> Fraction:
-        """|x|^2 as an exact rational."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
@@ -220,7 +211,11 @@ def _rat_text(num: int, den: int) -> str:
     if den != 1:
         g = gcd(num, den)
         num, den = num // g, den // g
-    return f"{num}" if den == 1 else f"{num}/{den}"
+    try:
+        return f"{num}" if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than str() writes
+        raise DomainError(f"a result part has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # The whole grammar, ASCII digits only: a real part p or p/q, an imaginary

@@ -25,7 +25,7 @@ from .linalg import ExactMatrix
 from .randgen import (child_rng, random_commuting_pair, random_exact_sequence,
                       random_invertible, random_quadruple,
                       random_singular_d_quadruple, random_symbol)
-from .scalars import QiScalar
+from .scalars import QiScalar, qi_modulus_cmp_one
 from .toeplitz import (AnalyticSymbol, restriction_data, restriction_sequences,
                        tame_symbol, toeplitz_joint_torsion)
 
@@ -134,7 +134,7 @@ def _suite_steinberg(rng, index):
     while True:
         c = QiScalar((rng.randint(-6, 6), rng.randint(1, 6)),
                      (rng.randint(-6, 6), rng.randint(1, 6)))
-        if not c.is_zero() and c.modulus_sq() != 1:
+        if not c.is_zero() and qi_modulus_cmp_one(c) != "equal":
             break
     affine = AnalyticSymbol(c, [QiScalar(0)])
     complement = AnalyticSymbol(-c, [c.inverse()])

@@ -477,3 +477,59 @@ def test_internal_error_exits_4_with_json_body(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert json.loads(out) == {
         "error": "RuntimeError: internal: synthetic failure"}
+
+
+def main_with_stdin(text, monkeypatch, capsys, argv=()):
+    """(exit code, parsed JSON body) of ``cli.main`` reading ``text``."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_decode_error_message_is_kept(monkeypatch, capsys):
+    assert main_with_stdin("{not json", monkeypatch, capsys) == (3, {
+        "error": "parse error at line 1 column 2: Expecting property name "
+                 "enclosed in double quotes"})
+
+
+def test_integer_literal_over_the_digit_limit_exits_3(monkeypatch, capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    text = '{"cmd": "verify", "seed": ' + "1" * digits + "}"
+    code, out = main_with_stdin(text, monkeypatch, capsys)
+    assert code == 3
+    assert out["error"].startswith("parse error: ")
+    assert f"{digits} digits" in out["error"]
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, '{"cmd": ' + "[" * 200000],
+                         ids=["top-level", "in-a-member"])
+def test_nesting_over_the_recursion_limit_exits_3(text, monkeypatch, capsys):
+    code, out = main_with_stdin(text, monkeypatch, capsys)
+    assert code == 3
+    assert out["error"].startswith("parse error: maximum recursion depth")
+
+
+def test_result_part_over_the_digit_limit_exits_2(monkeypatch, capsys):
+    # each entry parses, but the determinant has about twice its digits
+    limit = sys.get_int_max_str_digits()
+    big = "1" * (limit // 2 + 1000)
+    req = {"cmd": "torsion",
+           "payload": {"spaces": [2, 2],
+                       "differentials": [[big, "0", "0", big]]}}
+    code, out = main_with_stdin(json.dumps(req), monkeypatch, capsys)
+    assert (code, out) == (
+        2, {"error": f"a result part has more than {limit} digits"})
+
+
+@pytest.mark.parametrize("argv, request_", [
+    ([], {"cmd": "verify", "payload": {"suite": "steinberg", "count": 401}}),
+    (["--suite", "steinberg", "--count", "401"], None),
+])
+def test_suite_count_over_the_cap_exits_2(argv, request_, monkeypatch, capsys):
+    def refuse(name, seed, count):
+        raise AssertionError("ran a suite instance")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    text = json.dumps(request_) if request_ is not None else ""
+    assert main_with_stdin(text, monkeypatch, capsys, argv) == (
+        2, {"error": "count 401 exceeds the cap of 400"})

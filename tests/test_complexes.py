@@ -118,7 +118,7 @@ def test_rebase_scaling_transformation():
     seq = BasedExactSequence(
         ChainComplexSpec([1, 2, 1], [mat([[1], [1]]), mat([[1, -1]])]))
     before = torsion_scalar(seq)
-    g = ExactMatrix.scalar_diag(2, QiScalar(2))
+    g = ExactMatrix.identity(2).scale(QiScalar(2))
     rebased = BasedExactSequence(
         seq.complex, [ExactMatrix.identity(1), g, ExactMatrix.identity(1)])
     after = torsion_scalar(rebased)

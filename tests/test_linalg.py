@@ -306,8 +306,8 @@ def test_induced_map_respects_composition():
         m = random_singularized(rng, n, mag=3)
         sq = cokernel_of(m)
         # any operators preserving im(m): multiples of identity do
-        u = ExactMatrix.scalar_diag(n, QiScalar(2))
-        v = ExactMatrix.scalar_diag(n, QiScalar((1, 3)))
+        u = ExactMatrix.identity(n).scale(QiScalar(2))
+        v = ExactMatrix.identity(n).scale(QiScalar((1, 3)))
         lhs = induced_map(u * v, sq, sq)
         rhs = induced_map(u, sq, sq) * induced_map(v, sq, sq)
         assert lhs == rhs
@@ -716,7 +716,7 @@ def descent_case(seed):
         # an endomorphism of one subquotient: a scalar multiple of the
         # identity descends
         dst = src
-        m = ExactMatrix.scalar_diag(n_src, random_qi(rng, 2))
+        m = ExactMatrix.identity(n_src).scale(random_qi(rng, 2))
         if rng.random() < 0.5:
             m = m + random_matrix(rng, n_dst, 1) * random_matrix(rng, 1, n_src)
     else:

@@ -2,6 +2,8 @@
 (seed, index) are the same scalars, symbols and matrices, drawn in the same
 order, however the generators build them."""
 
+from fractions import Fraction
+
 import pytest
 
 from jointtorsion import ExactMatrix, QiScalar
@@ -24,6 +26,11 @@ def reference_qi(rng, mag=4, imag_prob=0.5):
     return QiScalar(re, im)
 
 
+def fraction_key(r):
+    """Real, then imaginary part, as exact rationals."""
+    return Fraction(r.a, r.d), Fraction(r.b, r.d)
+
+
 def reference_symbol(rng, max_roots=3, min_roots=0):
     """(leading, roots sorted by real and imaginary part, number of draws
     on the unit circle that were redrawn)."""
@@ -32,7 +39,7 @@ def reference_symbol(rng, max_roots=3, min_roots=0):
     redrawn = 0
     while len(roots) < count:
         z = reference_qi(rng, 3, imag_prob=0.4)
-        if z.modulus_sq() != 1:
+        if Fraction(z.a, z.d) ** 2 + Fraction(z.b, z.d) ** 2 != 1:
             roots.append(z)
         else:
             redrawn += 1
@@ -40,7 +47,7 @@ def reference_symbol(rng, max_roots=3, min_roots=0):
         leading = reference_qi(rng, 3, imag_prob=0.25)
         if not leading.is_zero():
             break
-    return leading, tuple(sorted(roots, key=lambda r: (r.re, r.im))), redrawn
+    return leading, tuple(sorted(roots, key=fraction_key)), redrawn
 
 
 def reference_invertible(rng, n, mag=4):

@@ -1,11 +1,13 @@
 """Exact Toeplitz layer: symbol classification, cokernel models, joint
 torsion versus the tame-symbol oracle, and the Steinberg relations."""
 
+from fractions import Fraction
+
 import pytest
 
 from jointtorsion import (AnalyticSymbol, DomainError, ExactMatrix, QiScalar,
                           coker_action, joint_torsion_pair, pseudoinv_formula,
-                          restriction_data,
+                          qi_modulus_cmp_one, restriction_data,
                           restriction_sequences, tame_symbol,
                           toeplitz_joint_torsion)
 from jointtorsion import linalg
@@ -44,6 +46,60 @@ def test_coker_action_companion():
     f = sym(1, [QiScalar((1, 2)), QiScalar((-1, 2))])
     g = sym(1, [QiScalar(0)])  # g(z) = z
     assert coker_action(f, g) == ExactMatrix.from_rows([[0, "1/4"], [1, 0]])
+
+
+def reference_coker_action(f, g):
+    """lead(g) * prod over the roots r of g of (Z - r I), with Z the
+    companion matrix of f_in built from its coefficients, each I - scaled
+    diagonal written out in full."""
+    d = f.winding
+    coeffs = [QiScalar(1)]
+    for root in f.inside_roots:
+        nxt = [QiScalar(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] = nxt[k + 1] + c
+            nxt[k] = nxt[k] - root * c
+        coeffs = nxt
+    rows = [[QiScalar(0)] * d for _ in range(d)]
+    for j in range(d - 1):
+        rows[j + 1][j] = QiScalar(1)
+    for i in range(d):
+        rows[i][d - 1] = -coeffs[i]
+    companion = ExactMatrix(d, d, [e for row in rows for e in row])
+
+    def diag(value):
+        return ExactMatrix(d, d, [value if i == j else QiScalar(0)
+                                  for i in range(d) for j in range(d)])
+
+    result = diag(g.leading)
+    for root in g.roots:
+        result = result * (companion - diag(root))
+    return result
+
+
+def test_coker_action_equals_the_companion_chain():
+    rng = child_rng(23, 7)
+    windings = []
+    for _ in range(120):
+        f = random_symbol(rng, max_roots=3)
+        g = random_symbol(rng, max_roots=3)
+        assert coker_action(f, g) == reference_coker_action(f, g)
+        assert coker_action(g, f) == reference_coker_action(g, f)
+        windings += [f.winding, g.winding]
+    assert {0, 1, 2, 3} <= set(windings)
+
+
+def test_roots_sort_by_real_then_imaginary_part():
+    texts = ["1/2+1/3*i", "-3/7", "1/2-1/5*i", "-3/7+2*i", "5/3*i", "-2/3*i",
+             "-1/2-1/4*i", "1/2+1/3*i", "2/9", "-3/7-5/6*i", "3", "-5/4"]
+    roots = [QiScalar.parse(t) for t in texts]
+    expected = sorted(roots,
+                      key=lambda r: (Fraction(r.a, r.d), Fraction(r.b, r.d)))
+    for given in (roots, roots[::-1], roots[5:] + roots[:5]):
+        assert list(sym(1, given).roots) == expected
+    assert [r.to_text() for r in expected] == [
+        "-5/4", "-1/2-1/4*i", "-3/7-5/6*i", "-3/7", "-3/7+2*i", "-2/3*i",
+        "5/3*i", "2/9", "1/2-1/5*i", "1/2+1/3*i", "1/2+1/3*i", "3"]
 
 
 def test_coker_action_empty_for_outside_roots():
@@ -156,7 +212,7 @@ def test_steinberg_one_minus_a():
     while checked < 25:
         c = QiScalar((rng.randint(-6, 6), rng.randint(1, 6)),
                      (rng.randint(-6, 6), rng.randint(1, 6)))
-        if c.is_zero() or c.modulus_sq() == 1:
+        if c.is_zero() or qi_modulus_cmp_one(c) == "equal":
             continue
         f = AnalyticSymbol(c, [QiScalar(0)])
         one_minus_f = AnalyticSymbol(-c, [c.inverse()])
