@@ -15,8 +15,9 @@ longer than ``_MAX_SYMBOL_TEXT`` characters, a verify ``count`` above
 ``sys.get_int_max_str_digits()``), 3 parse error (malformed JSON, including
 an integer literal over that digit limit and nesting deeper than the
 recursion limit, or a payload that does not match the command's schema,
-including scalar text outside the ASCII grammar or with a part over the
-digit limit, a negative dimension, a seed that
+including a key the request, its payload, a symbol or a trig polynomial
+does not have, scalar text outside the ASCII grammar or with a part over
+the digit limit, a negative dimension or buffer, a seed that
 is not an integer, a trig degree key outside ``0|-?[1-9][0-9]*`` and a trig
 coefficient that is a boolean or not a finite number; messages carry the
 JSON path), 4 internal error (any other exception; the body is
@@ -44,8 +45,17 @@ from .suites import run_suite
 from .toeplitz import (AnalyticSymbol, restriction_data, tame_symbol,
                        toeplitz_joint_torsion)
 
-_COMMANDS = ("torsion", "joint_torsion_pair", "joint_torsion_quad",
-             "toeplitz_exact", "toeplitz_numeric", "verify")
+# Each command with the keys its payload may hold; any other key is a schema
+# error, so that a misspelt key cannot silently fall back to a default.
+_COMMANDS = {
+    "torsion": ("spaces", "differentials", "bases"),
+    "joint_torsion_pair": ("dim", "a", "b"),
+    "joint_torsion_quad": ("dim", "a", "b", "c", "d"),
+    "toeplitz_exact": ("f", "g"),
+    "toeplitz_numeric": ("f", "g", "n", "buffer"),
+    "verify": ("suite", "count"),
+}
+_REQUEST_KEYS = ("cmd", "payload", "seed", "timing")
 
 # A dim-20 quadruple with invertible D takes 3-4 s on a 2-vCPU machine, and
 # the cost grows about 5x per four dimensions.
@@ -85,6 +95,13 @@ def _need(payload: dict, key: str, path: str):
     if key not in payload:
         raise SchemaError(f"{path}.{key}: missing")
     return payload[key]
+
+
+def _only(obj: dict, keys: tuple, path: str) -> dict:
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}: unknown key")
+    return obj
 
 
 def _as_int(value, path: str) -> int:
@@ -155,7 +172,8 @@ def _symbol(payload: dict, key: str):
     before any root is read and each scalar's text length before it is
     parsed."""
     path = f"$.payload.{key}"
-    obj = _as_dict(_need(payload, key, "$.payload"), path)
+    obj = _only(_as_dict(_need(payload, key, "$.payload"), path),
+                ("leading", "roots"), path)
     leading = _symbol_scalar(_need(obj, "leading", path), f"{path}.leading")
     items = _as_list(_need(obj, "roots", path), f"{path}.roots")
     if len(items) > _MAX_ROOTS:
@@ -179,7 +197,7 @@ def _finite(value, path: str) -> float:
 
 
 def _trig_poly(value, path: str) -> TrigPoly:
-    obj = _as_dict(value, path)
+    obj = _only(_as_dict(value, path), ("coeffs",), path)
     coeffs = _as_dict(_need(obj, "coeffs", path), f"{path}.coeffs")
     out = {}
     for key, pair in coeffs.items():
@@ -280,7 +298,7 @@ def _handle_toeplitz_numeric(payload: dict) -> dict:
     size = _as_int(_need(payload, "n", "$.payload"), "$.payload.n")
     buffer = payload.get("buffer")
     if buffer is not None:
-        buffer = _as_int(buffer, "$.payload.buffer")
+        buffer = _as_dim(buffer, "$.payload.buffer")
     value = numeric_det_invariant(f, g, size, buffer)
     closed = closed_form_di(f, g)
     return {"value": _complex_text(value),
@@ -302,11 +320,12 @@ def _handle_verify(payload: dict, seed: int) -> dict:
 
 def run_request(request: dict) -> dict:
     """Dispatch a validated request object; raises SchemaError/DomainError."""
-    request = _as_dict(request, "$")
+    request = _only(_as_dict(request, "$"), _REQUEST_KEYS, "$")
     cmd = _need(request, "cmd", "$")
-    if cmd not in _COMMANDS:
+    if not isinstance(cmd, str) or cmd not in _COMMANDS:
         raise SchemaError(f"$.cmd: unknown command {cmd!r}")
-    payload = _as_dict(request.get("payload", {}), "$.payload")
+    payload = _only(_as_dict(request.get("payload", {}), "$.payload"),
+                    _COMMANDS[cmd], "$.payload")
     seed = _as_int(request.get("seed", 0), "$.seed")
     if cmd == "torsion":
         return _handle_torsion(payload)
@@ -353,7 +372,8 @@ def main(argv=None) -> int:
             return 3
         if args.seed is not None and isinstance(request, dict):
             request.setdefault("seed", args.seed)
-        if args.count is not None and isinstance(request, dict):
+        if (args.count is not None and isinstance(request, dict)
+                and request.get("cmd") == "verify"):
             request.setdefault("payload", {})
             if isinstance(request["payload"], dict):
                 request["payload"].setdefault("count", args.count)

@@ -19,7 +19,7 @@ largest degree at which any of the eight exponential factors has a
 coefficient above 1e-14: each Toeplitz factor then reaches at most S rows
 past the block.  The enlarged size N + B may not exceed ``_MAX_DIM``; a
 larger request is rejected once S is known and before any array is built.
-At the cap one request takes about 2.5 s and 250 MB peak on a 2-vCPU
+At the cap one request takes about 2 s and 250 MB peak on a 2-vCPU
 machine.
 
 The eight factors come from four series, one per +- pair: the series of
@@ -37,11 +37,27 @@ series are summed when, for f or for g, the product of the largest
 coefficient magnitudes of its four factors exceeds ``_MAX_GROWTH``, and
 also when the determinant is not finite.
 
+The seven products are written into three flat complex buffers, S1 and
+S3 of N M entries and S2 of M^2, each reused once its last contents are
+dead: op_a = T_{e^{f_-}} T_{e^{f_0+f_+}} (N x M) goes into S1, op_b (M x M)
+into S2, op_a op_b into S3, op_a^{-1} into S2, (op_a op_b) op_a^{-1} into
+S1, op_b^{-1} (M x N) into S3 and the N x N block into S2.  Each thread
+keeps its own set between requests (numpy releases the GIL inside a
+product, so threads may not share one), grown but never shrunk when a
+request needs more room, so a repeated request writes its products into
+memory it has already touched.  (The eight Toeplitz blocks are built
+afresh for each request; whether their pages are new again is up to the C
+allocator.)  A thread retains at most 3 M^2 entries for
+the largest M it has served, 113 MB at the cap.  While a request runs, the
+three buffers and the two Toeplitz blocks of the product being formed are
+live: fewer than the six M x M arrays that products into fresh arrays hold
+at once.
+
 The determinant comes from a blocked LU with partial pivoting (panels of
 32 columns, each column updated left-looking by one matrix-vector product,
 then one matrix product for the trailing block), done in place on the
-freshly multiplied block.  Every pivot must reach the stability floor,
-else the truncation is reported unstable.
+block in S2.  Every pivot must reach the stability floor, else the
+truncation is reported unstable.
 
 numpy is imported by the functions that use it, so importing this module
 (and the CLI) does not load it.
@@ -50,6 +66,7 @@ numpy is imported by the functions that use it, so importing this module
 from __future__ import annotations
 
 import cmath
+import threading
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -65,6 +82,8 @@ _MAX_DIM = 1536
 _MAX_SPAN = 16
 _MAX_NORM = 40.0
 _MAX_GROWTH = 1e8
+
+_per_thread = threading.local()
 
 
 class TrigPoly:
@@ -213,6 +232,32 @@ def _lu_determinant(a: np.ndarray) -> complex:
     return det
 
 
+def _buffers(rect: int, square: int) -> tuple:
+    """This thread's three flat complex buffers, of at least ``rect``,
+    ``square`` and ``rect`` entries.
+
+    A request that needs more room grows them (they never shrink); the old
+    set is dropped first, so that it is never live beside the new one.
+    """
+    import numpy as np
+
+    bufs = getattr(_per_thread, "bufs", None)
+    if bufs is not None:
+        if bufs[0].size >= rect and bufs[1].size >= square:
+            return bufs
+        rect, square = max(rect, bufs[0].size), max(square, bufs[1].size)
+        _per_thread.bufs = bufs = None
+    _per_thread.bufs = (np.empty(rect, dtype=complex),
+                     np.empty(square, dtype=complex),
+                     np.empty(rect, dtype=complex))
+    return _per_thread.bufs
+
+
+def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The leading rows x cols of a flat buffer as a C-contiguous matrix."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
                           buffer: int | None = None) -> complex:
     """Determinant of the leading size x size block of the truncated
@@ -265,15 +310,28 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
                           f"the cap of {_MAX_DIM}")
 
     # Only the leading size x size block of the product is read.  BLAS sums
-    # each entry the same way whatever the numbers of rows and columns, so
-    # the restricted chain gives that block the bits of the full product.
-    op_a = toeplitz_matrix(f_lo, total)[:size] @ toeplitz_matrix(f_up, total)
-    op_b = toeplitz_matrix(g_lo, total) @ toeplitz_matrix(g_up, total)
-    op_a_inv = toeplitz_matrix(f_up_inv, total) @ toeplitz_matrix(f_lo_inv, total)
-    op_b_inv = (toeplitz_matrix(g_up_inv, total)
-                @ toeplitz_matrix(g_lo_inv, total)[:, :size])
+    # each entry the same way whatever the numbers of rows and columns, and
+    # whatever memory it writes to, so the restricted chain gives that block
+    # the bits of the full product.  Each product goes into a buffer whose
+    # last contents are no longer needed.
+    import numpy as np
 
-    det = _lu_determinant(op_a @ op_b @ op_a_inv @ op_b_inv)
+    s1, s2, s3 = _buffers(size * total, total * total)
+    op_a = np.matmul(toeplitz_matrix(f_lo, total)[:size],
+                     toeplitz_matrix(f_up, total), out=_view(s1, size, total))
+    op_b = np.matmul(toeplitz_matrix(g_lo, total),
+                     toeplitz_matrix(g_up, total), out=_view(s2, total, total))
+    x = np.matmul(op_a, op_b, out=_view(s3, size, total))
+    op_a_inv = np.matmul(toeplitz_matrix(f_up_inv, total),
+                         toeplitz_matrix(f_lo_inv, total),
+                         out=_view(s2, total, total))
+    y = np.matmul(x, op_a_inv, out=_view(s1, size, total))
+    op_b_inv = np.matmul(toeplitz_matrix(g_up_inv, total),
+                         toeplitz_matrix(g_lo_inv, total)[:, :size],
+                         out=_view(s3, total, size))
+    block = np.matmul(y, op_b_inv, out=_view(s2, size, size))
+
+    det = _lu_determinant(block)
     if not cmath.isfinite(det):
         raise DomainError("determinant is not finite")
     return det

@@ -451,6 +451,10 @@ def test_scalar_text_outside_ascii_grammar_exits_3(text):
      "$.payload.dim"),
     ({"cmd": "joint_torsion_pair", "payload": {"dim": -2, "a": [], "b": []}},
      "$.payload.dim"),
+    ({"cmd": "toeplitz_numeric",
+      "payload": {"f": {"coeffs": {}}, "g": {"coeffs": {}}, "n": 16,
+                  "buffer": -5}},
+     "$.payload.buffer"),
 ])
 def test_negative_dimension_exits_3(request_, path):
     proc = invoke(request_)
@@ -533,3 +537,79 @@ def test_suite_count_over_the_cap_exits_2(argv, request_, monkeypatch, capsys):
     text = json.dumps(request_) if request_ is not None else ""
     assert main_with_stdin(text, monkeypatch, capsys, argv) == (
         2, {"error": "count 401 exceeds the cap of 400"})
+
+
+# -- the key grammar -------------------------------------------------------------
+
+TRIG = {"coeffs": {"1": [0.5, 0.0]}}
+
+# One request per command, each holding every key its objects may have.
+EVERY_KEY = {
+    "torsion": {"cmd": "torsion",
+                "payload": {"spaces": [1, 1], "differentials": [["2"]],
+                            "bases": [["1"], ["1"]]}},
+    "joint_torsion_pair": {"cmd": "joint_torsion_pair",
+                           "payload": {"dim": 1, "a": ["0"], "b": ["0"]}},
+    "joint_torsion_quad": ZERO_QUAD,
+    "toeplitz_exact": {"cmd": "toeplitz_exact",
+                       "payload": {"f": {"leading": "1", "roots": ["1/2"]},
+                                   "g": {"leading": "1", "roots": ["1/3"]}}},
+    "toeplitz_numeric": {"cmd": "toeplitz_numeric",
+                         "payload": {"f": TRIG, "g": TRIG, "n": 16,
+                                     "buffer": 40}},
+    "verify": {"cmd": "verify", "payload": {"suite": "steinberg", "count": 1},
+               "seed": 3, "timing": False},
+}
+
+
+def _with_key(request, path, key):
+    """A copy of ``request`` with ``key`` added to the object at ``path``."""
+    request = json.loads(json.dumps(request))
+    obj = request
+    for step in path:
+        obj = obj[step]
+    obj[key] = 64
+    return request
+
+
+def test_every_command_is_covered_by_the_key_grammar():
+    assert set(EVERY_KEY) == set(cli._COMMANDS)
+    for cmd, request in EVERY_KEY.items():
+        assert set(request["payload"]) == set(cli._COMMANDS[cmd])
+
+
+KEY_PATHS = [*((cmd, ()) for cmd in EVERY_KEY),
+             *((cmd, ("payload",)) for cmd in EVERY_KEY),
+             *((cmd, ("payload", key)) for cmd in ("toeplitz_exact",
+                                                   "toeplitz_numeric")
+               for key in ("f", "g"))]
+
+
+@pytest.mark.parametrize("cmd, path", KEY_PATHS, ids=[
+    "-".join((cmd, "$") + path) for cmd, path in KEY_PATHS])
+def test_unknown_key_exits_3(cmd, path, monkeypatch, capsys):
+    request = EVERY_KEY[cmd]
+    assert main_with_stdin(json.dumps(request), monkeypatch, capsys)[0] == 0
+    where = "".join(f".{step}" for step in path)
+    assert main_with_stdin(json.dumps(_with_key(request, path, "bufer")),
+                           monkeypatch, capsys) == (
+        3, {"error": f"${where}.bufer: unknown key"})
+
+
+def test_count_flag_fills_only_a_verify_count(monkeypatch, capsys):
+    verify = {"cmd": "verify", "payload": {"suite": "steinberg"}, "seed": 4}
+    explicit = json.loads(json.dumps(verify))
+    explicit["payload"]["count"] = 2
+    for request, plain in ((ZERO_QUAD, ZERO_QUAD), (verify, explicit)):
+        flagged = main_with_stdin(json.dumps(request), monkeypatch, capsys,
+                                  ["--count", "2"])
+        assert flagged[0] == 0
+        assert flagged == main_with_stdin(json.dumps(plain), monkeypatch,
+                                          capsys)
+
+
+@pytest.mark.parametrize("cmd", [["verify"], {"verify": 1}])
+def test_command_that_is_not_a_string_exits_3(cmd):
+    # the command table is a dict, and a list or an object is no key of it
+    with pytest.raises(SchemaError, match=r"^\$\.cmd: unknown command"):
+        run_request({"cmd": cmd})

@@ -4,6 +4,8 @@ closed form, and convergence of truncated commutator determinants."""
 import math
 import random
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +358,137 @@ def test_numeric_path_matches_the_full_size_reference():
                 value = numeric_det_invariant(f, g, n, buffer)
                 assert bits(value) == bits(
                     reference_numeric_det(factors, n, buffer))
+
+
+# -- the product buffers ---------------------------------------------------------
+
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, which starts with no product
+    buffers; its exception, if any, is raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _poison_column(monkeypatch, column):
+    """Make the next request's last Toeplitz block NaN in one column, so
+    that its LU runs up to that column and then finds no pivot."""
+    original = fredholm.toeplitz_matrix
+    built = []
+
+    def poisoned(coeffs, size):
+        block = original(coeffs, size)
+        built.append(size)
+        if len(built) == 8:  # T_{e^{-g_-}}, the last factor
+            block[:, column] = complex("nan")
+            monkeypatch.setattr(fredholm, "toeplitz_matrix", original)
+        return block
+
+    monkeypatch.setattr(fredholm, "toeplitz_matrix", poisoned)
+
+
+def test_buffers_carry_nothing_from_one_request_to_the_next(monkeypatch):
+    # The sizes grow, shrink and grow again, and a request that fails in
+    # the middle of its LU leaves a half-factored block behind; every
+    # result still has the bits of the full-size reference.
+    f, g = NUMERIC_CORPUS[1]
+    buffer = 2 * significant_span(f, g) + 3
+    factors = reference_factors(f, g)
+    sizes = (256, 32, 128, None, 128, 300, 32)  # None: the failing request
+    expected = [bits(reference_numeric_det(factors, n, buffer))
+                for n in sizes if n is not None]
+
+    def requests():
+        got, held = [], []
+        for n in sizes:
+            if n is None:
+                _poison_column(monkeypatch, 64)
+                with pytest.raises(DomainError, match="truncation unstable"):
+                    numeric_det_invariant(f, g, 128, buffer)
+                continue
+            got.append(bits(numeric_det_invariant(f, g, n, buffer)))
+            held.append(fredholm._per_thread.bufs[1].size)
+        return got, held
+
+    got, held = _in_new_thread(requests)
+    assert got == expected
+    # grown for 256 and for 300 only, never shrunk
+    assert held == [(256 + buffer) ** 2] * 4 + [(300 + buffer) ** 2] * 2
+
+
+def test_threads_keep_their_own_buffers():
+    # numpy releases the GIL inside its products, so threads that shared
+    # one set of buffers would write into each other's products.  More
+    # threads than cores, each at its own size, switching often.
+    jobs = [(NUMERIC_CORPUS[1], 256), (NUMERIC_CORPUS[2], 200),
+            (NUMERIC_CORPUS[0], 150)]
+    serial = [bits(numeric_det_invariant(f, g, n)) for (f, g), n in jobs]
+    start = threading.Barrier(len(jobs))
+    results = [[] for _ in jobs]
+    errors = []
+
+    def run(i):
+        (f, g), n = jobs[i]
+        start.wait()
+        try:
+            for _ in range(15):
+                results[i].append(bits(numeric_det_invariant(f, g, n)))
+        except DomainError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert results == [[want] * 15 for want in serial]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_repeated_request_makes_no_page_faults(monkeypatch):
+    # The eight Toeplitz blocks are built in advance and handed out again,
+    # so the count covers the products and the LU alone: a repeated request
+    # writes into the buffers the first one left.  Built afresh per request,
+    # the blocks fault or not as the C allocator trims its heap or keeps it.
+    import resource
+
+    f, g = NUMERIC_CORPUS[1]
+    original = fredholm.toeplitz_matrix
+    blocks = {}
+
+    def prebuilt(coeffs, size):
+        key = (tuple(coeffs.items()), size)
+        if key not in blocks:
+            blocks[key] = original(coeffs, size)
+        return blocks[key]
+
+    monkeypatch.setattr(fredholm, "toeplitz_matrix", prebuilt)
+    numeric_det_invariant(f, g, 256)
+    # the whole process, since BLAS threads write the products
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    numeric_det_invariant(f, g, 256)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 # -- the buffer ---------------------------------------------------------------
