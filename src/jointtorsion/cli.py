@@ -6,6 +6,11 @@ command lives inside the request, so suites are plain data:
     echo '{"cmd": "joint_torsion_quad", "payload": {...}}' | jointtorsion
     jointtorsion --suite finite-triviality --seed 7 --count 200
 
+Importing this module loads no other module of the package but ``errors``:
+each handler imports the modules its command runs, so a fresh process
+loads only those (a quad request never loads ``fredholm``, ``toeplitz``,
+``suites`` or numpy, and a numeric request no exact module).
+
 Exit codes: 0 success, 2 domain error (a module precondition failed, a
 quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, torsion ``spaces`` that
 sum to more than ``_MAX_SPACES_TOTAL``, a toeplitz_exact
@@ -35,15 +40,16 @@ import re
 import sys
 import time
 
-from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
-from .fredholm import TrigPoly, closed_form_di, numeric_det_invariant
-from .koszul import KoszulQuadruple, joint_torsion_pair, joint_torsion_quad
-from .linalg import ExactMatrix
-from .scalars import QiScalar
-from .suites import run_suite
-from .toeplitz import (AnalyticSymbol, restriction_data, tame_symbol,
-                       toeplitz_joint_torsion)
+
+# typing.TYPE_CHECKING without importing typing, which no exact command
+# loads otherwise: type checkers read any name TYPE_CHECKING as true.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .fredholm import TrigPoly
+    from .linalg import ExactMatrix
+    from .scalars import QiScalar
+    from .toeplitz import AnalyticSymbol
 
 # Each command with the keys its payload may hold; any other key is a schema
 # error, so that a misspelt key cannot silently fall back to a default.
@@ -129,22 +135,27 @@ def _as_list(value, path: str) -> list:
     return value
 
 
-def _scalar(value, path: str) -> QiScalar:
+def _scalar(parse, value, path: str) -> QiScalar:
+    """``parse(value)`` for scalar text; ``parse`` is ``QiScalar.parse``,
+    which each reader fetches once, not once per entry."""
     if not isinstance(value, str):
         raise SchemaError(f"{path}: expected scalar text")
     try:
-        return QiScalar.parse(value)
+        return parse(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> ExactMatrix:
+    from .linalg import ExactMatrix
+    from .scalars import QiScalar
+
     items = _as_list(value, path)
     if len(items) != rows * cols:
         raise SchemaError(f"{path}: expected {rows * cols} entries "
                           f"({rows}x{cols} row-major), got {len(items)}")
-    return ExactMatrix(rows, cols,
-                       [_scalar(v, f"{path}[{i}]") for i, v in enumerate(items)])
+    return ExactMatrix(rows, cols, [_scalar(QiScalar.parse, v, f"{path}[{i}]")
+                                    for i, v in enumerate(items)])
 
 
 def _operator_dim(payload: dict) -> int:
@@ -160,26 +171,30 @@ def _square(payload: dict, key: str, dim: int, path: str) -> ExactMatrix:
     return _matrix(_need(payload, key, path), dim, dim, f"{path}.{key}")
 
 
-def _symbol_scalar(value, path: str) -> QiScalar:
+def _symbol_scalar(parse, value, path: str) -> QiScalar:
     if isinstance(value, str) and len(value) > _MAX_SYMBOL_TEXT:
         raise DomainError(f"{path} has {len(value)} characters, above the "
                           f"cap of {_MAX_SYMBOL_TEXT}")
-    return _scalar(value, path)
+    return _scalar(parse, value, path)
 
 
-def _symbol(payload: dict, key: str):
+def _symbol(payload: dict, key: str) -> AnalyticSymbol:
     """The symbol ``key`` of a toeplitz_exact request, its root count capped
     before any root is read and each scalar's text length before it is
     parsed."""
+    from .scalars import QiScalar
+    from .toeplitz import AnalyticSymbol
+
     path = f"$.payload.{key}"
     obj = _only(_as_dict(_need(payload, key, "$.payload"), path),
                 ("leading", "roots"), path)
-    leading = _symbol_scalar(_need(obj, "leading", path), f"{path}.leading")
+    leading = _symbol_scalar(QiScalar.parse, _need(obj, "leading", path),
+                             f"{path}.leading")
     items = _as_list(_need(obj, "roots", path), f"{path}.roots")
     if len(items) > _MAX_ROOTS:
         raise DomainError(f"{key} has {len(items)} roots, above the cap of "
                           f"{_MAX_ROOTS}")
-    roots = [_symbol_scalar(v, f"{path}.roots[{i}]")
+    roots = [_symbol_scalar(QiScalar.parse, v, f"{path}.roots[{i}]")
              for i, v in enumerate(items)]
     return AnalyticSymbol(leading, roots)
 
@@ -197,6 +212,8 @@ def _finite(value, path: str) -> float:
 
 
 def _trig_poly(value, path: str) -> TrigPoly:
+    from .fredholm import TrigPoly
+
     obj = _only(_as_dict(value, path), ("coeffs",), path)
     coeffs = _as_dict(_need(obj, "coeffs", path), f"{path}.coeffs")
     out = {}
@@ -227,6 +244,8 @@ def _complex_text(z: complex) -> str:
 # -- command handlers ---------------------------------------------------------
 
 def _handle_torsion(payload: dict) -> dict:
+    from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
+
     spaces = [_as_dim(v, f"$.payload.spaces[{i}]") for i, v in
               enumerate(_as_list(_need(payload, "spaces", "$.payload"),
                                  "$.payload.spaces"))]
@@ -254,6 +273,8 @@ def _handle_torsion(payload: dict) -> dict:
 
 
 def _handle_pair(payload: dict) -> dict:
+    from .koszul import joint_torsion_pair
+
     dim = _operator_dim(payload)
     a = _square(payload, "a", dim, "$.payload")
     b = _square(payload, "b", dim, "$.payload")
@@ -262,6 +283,8 @@ def _handle_pair(payload: dict) -> dict:
 
 
 def _handle_quad(payload: dict) -> dict:
+    from .koszul import KoszulQuadruple, joint_torsion_quad
+
     dim = _operator_dim(payload)
     q = KoszulQuadruple(*(_square(payload, key, dim, "$.payload")
                           for key in ("a", "b", "c", "d")))
@@ -285,6 +308,8 @@ def _quad_report(report) -> dict:
 
 
 def _handle_toeplitz_exact(payload: dict) -> dict:
+    from .toeplitz import restriction_data, tame_symbol, toeplitz_joint_torsion
+
     f, g = _symbol(payload, "f"), _symbol(payload, "g")
     value = toeplitz_joint_torsion(restriction_data(f, g))
     return {"value": value.to_text(),
@@ -293,6 +318,8 @@ def _handle_toeplitz_exact(payload: dict) -> dict:
 
 
 def _handle_toeplitz_numeric(payload: dict) -> dict:
+    from .fredholm import closed_form_di, numeric_det_invariant
+
     f = _trig_poly(_need(payload, "f", "$.payload"), "$.payload.f")
     g = _trig_poly(_need(payload, "g", "$.payload"), "$.payload.g")
     size = _as_int(_need(payload, "n", "$.payload"), "$.payload.n")
@@ -308,6 +335,8 @@ def _handle_toeplitz_numeric(payload: dict) -> dict:
 
 
 def _handle_verify(payload: dict, seed: int) -> dict:
+    from .suites import run_suite
+
     name = _need(payload, "suite", "$.payload")
     if not isinstance(name, str):
         raise SchemaError("$.payload.suite: expected a string")

@@ -33,8 +33,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import hashlib
-
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient
 from .scalars import ONE, QiScalar
@@ -121,6 +119,8 @@ class BasedExactSequence:
         return self._bases[k]
 
     def fingerprint(self) -> str:
+        import hashlib  # only the torsion command reads a fingerprint
+
         digest = hashlib.sha256()
         digest.update(repr(self.complex.dims_by_degree).encode())
         for k in range(self.length, -1, -1):

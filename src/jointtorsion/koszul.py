@@ -49,8 +49,6 @@ on a finite dimensional space it is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient, induced_map
@@ -178,26 +176,29 @@ def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases=None) -> QiScalar:
     return tau_a * tau_d.inverse() * sign
 
 
-@dataclass
 class JointTorsionReport:
     """Everything the joint torsion computation produced, for reproducibility.
 
     value = (-1)^(lambda_exp + pairing_exp) * tau_AD * tau_BC^(-1)
             * sigma_AD * sigma_BC.
     """
-    tau_AD: QiScalar
-    tau_BC: QiScalar
-    sigma_AD: QiScalar
-    sigma_BC: QiScalar
-    lambda_exp: int
-    pairing_exp: int
-    kappa_A: int
-    kappa_B: int
-    kappa_C: int
-    kappa_D: int
-    mu_values: dict
-    homology_dims: dict
-    value: QiScalar
+
+    __slots__ = ("tau_AD", "tau_BC", "sigma_AD", "sigma_BC", "lambda_exp",
+                 "pairing_exp", "kappa_A", "kappa_B", "kappa_C", "kappa_D",
+                 "mu_values", "homology_dims", "value")
+
+    def __init__(self, *, tau_AD: QiScalar, tau_BC: QiScalar,
+                 sigma_AD: QiScalar, sigma_BC: QiScalar, lambda_exp: int,
+                 pairing_exp: int, kappa_A: int, kappa_B: int, kappa_C: int,
+                 kappa_D: int, mu_values: dict, homology_dims: dict,
+                 value: QiScalar):
+        self.tau_AD, self.tau_BC = tau_AD, tau_BC
+        self.sigma_AD, self.sigma_BC = sigma_AD, sigma_BC
+        self.lambda_exp, self.pairing_exp = lambda_exp, pairing_exp
+        self.kappa_A, self.kappa_B = kappa_A, kappa_B
+        self.kappa_C, self.kappa_D = kappa_C, kappa_D
+        self.mu_values, self.homology_dims = mu_values, homology_dims
+        self.value = value
 
 
 def joint_torsion_quad(q: KoszulQuadruple, rebasing=None) -> JointTorsionReport:

@@ -17,23 +17,34 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
+
+
+def _fraction_pair(value):
+    """(numerator, denominator) of a ``fractions.Fraction``, else None.
+
+    No object is a Fraction unless ``fractions`` is loaded, so the module
+    is looked up, never imported: a request does not pay for it.
+    """
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    return None
 
 
 def _as_pair(value) -> tuple[int, int]:
     """A rational (num, den) from an int, a Fraction or (num, den)."""
     if isinstance(value, int):
         return value, 1
-    # tuple first: every parse passes one, and the Fraction test is an ABC
-    # instance check
+    # tuple first: every parse passes one
     if isinstance(value, tuple) and len(value) == 2:
         return int(value[0]), int(value[1])
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    raise TypeError(f"cannot build a rational part from {value!r}")
+    pair = _fraction_pair(value)
+    if pair is None:
+        raise TypeError(f"cannot build a rational part from {value!r}")
+    return pair
 
 
 class QiScalar:
@@ -201,9 +212,8 @@ def _coerce(value):
         return value
     if isinstance(value, int):
         return _raw(value, 0, 1)
-    if isinstance(value, Fraction):
-        return _raw(value.numerator, 0, value.denominator)
-    return None
+    pair = _fraction_pair(value)
+    return None if pair is None else _raw(pair[0], 0, pair[1])
 
 
 def _rat_text(num: int, den: int) -> str:

@@ -116,6 +116,7 @@ def test_schema_violation_exits_3_with_path():
 def test_pair_request_runs_joint_torsion_once(monkeypatch):
     from jointtorsion import cli, koszul
     from jointtorsion.linalg import ExactMatrix
+    from jointtorsion.scalars import QiScalar
 
     calls = []
     quad = koszul.joint_torsion_quad
@@ -129,8 +130,10 @@ def test_pair_request_runs_joint_torsion_once(monkeypatch):
     payload = {"dim": 2, "a": ["1", "i", "0", "2"], "b": ["2", "4*i", "0", "6"]}
     out = run_request({"cmd": "joint_torsion_pair", "payload": payload})
     assert len(calls) == 1
-    a = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["a"]])
-    b = ExactMatrix(2, 2, [cli._scalar(v, "") for v in payload["b"]])
+    a = ExactMatrix(2, 2, [cli._scalar(QiScalar.parse, v, "")
+                           for v in payload["a"]])
+    b = ExactMatrix(2, 2, [cli._scalar(QiScalar.parse, v, "")
+                           for v in payload["b"]])
     assert out["value"] == koszul.joint_torsion_pair(a, b).value.to_text()
 
 
@@ -408,14 +411,75 @@ def test_symbol_text_at_the_cap_is_read():
     assert run_request(req)["report"]["winding_f"] == 1
 
 
-def test_exact_request_does_not_load_numpy():
-    code = ("import sys, jointtorsion.cli as cli; "
-            f"cli.run_request({ZERO_QUAD!r}); "
-            "print('numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+# A fresh interpreter imports jointtorsion.cli, runs one request and prints
+# the modules each step added to sys.modules.
+_MODULE_PROBE = """
+import json, sys
+before = set(sys.modules)
+import jointtorsion.cli as cli
+imported = set(sys.modules) - before
+cli.run_request(json.loads(sys.argv[1]))
+print(json.dumps([sorted(imported), sorted(set(sys.modules) - before)]))
+"""
+
+
+def modules(*names) -> set:
+    return {"jointtorsion." + name for name in names}
+
+
+EXACT = modules("scalars", "linalg", "complexes", "koszul", "toeplitz",
+                "suites", "randgen")
+QUAD_LOADS = modules("koszul", "complexes", "linalg", "scalars")
+QUAD_SKIPS = modules("fredholm", "toeplitz", "suites", "randgen") | {
+    "hashlib", "numpy"}
+
+# command: (request, modules it loads, modules it does not load); no command
+# loads dataclasses or fractions
+COMMAND_MODULES = {
+    "joint_torsion_quad": (ZERO_QUAD, QUAD_LOADS, QUAD_SKIPS),
+    "joint_torsion_pair": (
+        {"cmd": "joint_torsion_pair",
+         "payload": {"dim": 1, "a": ["1"], "b": ["2"]}},
+        QUAD_LOADS, QUAD_SKIPS),
+    "torsion": (
+        {"cmd": "torsion",
+         "payload": {"spaces": [1, 1], "differentials": [["2"]]}},
+        modules("complexes") | {"hashlib"},
+        modules("koszul", "fredholm") | {"numpy"}),
+    "toeplitz_exact": (
+        {"cmd": "toeplitz_exact",
+         "payload": {"f": {"leading": "1", "roots": ["1/2"]},
+                     "g": {"leading": "1", "roots": ["1/3"]}}},
+        modules("toeplitz"),
+        modules("koszul", "fredholm", "suites") | {"numpy"}),
+    "toeplitz_numeric": (
+        {"cmd": "toeplitz_numeric",
+         "payload": {"f": {"coeffs": {"1": [0.5, 0.0]}},
+                     "g": {"coeffs": {"-1": [0.5, 0.0]}}, "n": 16}},
+        modules("fredholm") | {"numpy"}, EXACT),
+    "verify": (
+        {"cmd": "verify", "payload": {"suite": "tame-oracle", "count": 1}},
+        modules("suites"), {"numpy"}),
+}
+
+
+def test_module_probe_covers_every_command():
+    assert set(COMMAND_MODULES) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", list(COMMAND_MODULES))
+def test_fresh_interpreter_loads_only_what_its_command_runs(cmd):
+    request, loads, skips = COMMAND_MODULES[cmd]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(request)],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    imported, loaded = (set(step) for step in json.loads(proc.stdout))
+    assert {m for m in imported if m.startswith("jointtorsion")} == {
+        "jointtorsion"} | modules("cli", "errors")
+    assert not imported & {"dataclasses", "fractions", "hashlib", "numpy"}
+    assert loads <= loaded
+    assert not loaded & (skips | {"dataclasses", "fractions"})
 
 
 @pytest.mark.parametrize("key", ["+1", "01", " 1", "\u0661", "1_0", "-0"])
@@ -533,7 +597,7 @@ def test_suite_count_over_the_cap_exits_2(argv, request_, monkeypatch, capsys):
     def refuse(name, seed, count):
         raise AssertionError("ran a suite instance")
 
-    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr("jointtorsion.suites.run_suite", refuse)
     text = json.dumps(request_) if request_ is not None else ""
     assert main_with_stdin(text, monkeypatch, capsys, argv) == (
         2, {"error": "count 401 exceeds the cap of 400"})

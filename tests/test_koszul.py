@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from jointtorsion import (BasedExactSequence, DomainError, ExactMatrix,
-                          KoszulQuadruple, QiScalar, build_eps_sequences,
-                          factorization_identities, graded_determinant,
-                          joint_torsion_pair, joint_torsion_quad,
-                          perturbation_sigma, pseudoinv_formula,
-                          torsion_scalar)
+                          JointTorsionReport, KoszulQuadruple, QiScalar,
+                          build_eps_sequences, factorization_identities,
+                          graded_determinant, joint_torsion_pair,
+                          joint_torsion_quad, perturbation_sigma,
+                          pseudoinv_formula, torsion_scalar)
 from jointtorsion import complexes, koszul, linalg
 from jointtorsion.koszul import QuadHomology
 from jointtorsion.randgen import (child_rng, random_commuting_pair,
@@ -130,6 +130,21 @@ def test_joint_torsion_zero_quadruple():
     report = joint_torsion_quad(KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1))
     assert report.value == QiScalar(1)
     assert report.lambda_exp == 4
+
+
+REPORT_FIELDS = ("tau_AD", "tau_BC", "sigma_AD", "sigma_BC", "lambda_exp",
+                 "pairing_exp", "kappa_A", "kappa_B", "kappa_C", "kappa_D",
+                 "mu_values", "homology_dims", "value")
+
+
+def test_report_exposes_its_thirteen_fields():
+    report = joint_torsion_quad(KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1))
+    assert set(JointTorsionReport.__slots__) == set(REPORT_FIELDS)
+    fields = {name: getattr(report, name) for name in REPORT_FIELDS}
+    copy = JointTorsionReport(**fields)
+    assert all(getattr(copy, name) is fields[name] for name in REPORT_FIELDS)
+    with pytest.raises(TypeError):  # the fields are keyword-only
+        JointTorsionReport(*fields.values())
 
 
 def test_joint_torsion_random_quadruples_trivial():

@@ -14,6 +14,10 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 import jointtorsion
 from jointtorsion.suites import SUITES
@@ -61,6 +65,34 @@ def test_every_public_name_resolves():
     assert documented
     for name in documented:
         assert hasattr(jointtorsion, name), f"README names {name}"
+
+
+# In a fresh interpreter: ``import jointtorsion`` loads no submodule, ``from
+# jointtorsion import cli, suites`` imports those two, and ``import *`` binds
+# every public name to the object its attribute gives.
+_SURFACE_PROBE = """
+import sys
+import jointtorsion
+assert not [m for m in sys.modules if m.startswith("jointtorsion.")]
+from jointtorsion import cli, suites
+assert (cli.__name__, suites.__name__) == ("jointtorsion.cli",
+                                           "jointtorsion.suites")
+from jointtorsion import *
+for name in jointtorsion.__all__:
+    assert globals()[name] is getattr(jointtorsion, name), name
+"""
+
+
+def test_public_surface_in_a_fresh_interpreter():
+    proc = subprocess.run([sys.executable, "-c", _SURFACE_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(jointtorsion, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jointtorsion.no_such_name
 
 
 def test_every_traced_name_exists():

@@ -1,7 +1,10 @@
 """Field arithmetic, canonical form, and text round-trips for QiScalar."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,22 @@ def test_field_axioms_on_random_triples():
         assert x + (-x) == QiScalar(0)
         if not x.is_zero():
             assert x * x.inverse() == QiScalar(1)
+
+
+@pytest.mark.parametrize("part", [3, (6, 2), Fraction(3)],
+                         ids=["int", "pair", "Fraction"])
+def test_constructor_accepts_int_pair_and_fraction(part):
+    assert QiScalar(part) == QiScalar(3)
+    assert QiScalar(0, part) == QiScalar(0, 3)
+
+
+@pytest.mark.parametrize("part", [np.int64(3), 3.0, Decimal(3)],
+                         ids=["numpy.int64", "float", "Decimal"])
+def test_constructor_rejects_other_numbers(part):
+    with pytest.raises(TypeError, match="cannot build a rational part"):
+        QiScalar(part)
+    with pytest.raises(TypeError, match="cannot build a rational part"):
+        QiScalar(0, part)
 
 
 def test_canonical_form_is_idempotent():
