@@ -33,6 +33,17 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+# SHA-256 from the interpreter's own module, as ``random`` takes its SHA-512:
+# hashlib would load OpenSSL's _hashlib, about 3.5 MB, for the same digest.
+# Resolved once here, since a failed import is retried on every call.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .errors import DomainError
 from .linalg import ExactMatrix, Subquotient, build_subquotient
 from .scalars import ONE, QiScalar
@@ -119,9 +130,9 @@ class BasedExactSequence:
         return self._bases[k]
 
     def fingerprint(self) -> str:
-        import hashlib  # only the torsion command reads a fingerprint
-
-        digest = hashlib.sha256()
+        """The first 16 hex digits of the SHA-256 of the dims by degree and
+        each basis's entry texts, top degree first (identity when unbased)."""
+        digest = sha256()
         digest.update(repr(self.complex.dims_by_degree).encode())
         for k in range(self.length, -1, -1):
             g = self.basis(k) or ExactMatrix.identity(self.complex.dim(k))

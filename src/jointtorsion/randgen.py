@@ -1,15 +1,17 @@
 """Seeded random instances for the verification suites and tests.
 
 Streams are splittable: every instance derives its own ``random.Random``
-from (seed, index) through sha256, so results are reproducible per instance
-regardless of execution order or parallelism.
+from (seed, index) through SHA-256, so results are reproducible per instance
+regardless of execution order or parallelism.  The hash is ``complexes``'s
+``sha256``, the interpreter's built-in one, so drawing instances does not
+load OpenSSL through hashlib; its digests are hashlib's, byte for byte.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
+from .complexes import sha256
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
 from .scalars import QiScalar, _reduced, qi_modulus_cmp_one
@@ -17,7 +19,7 @@ from .toeplitz import AnalyticSymbol
 
 
 def child_rng(seed: int, index: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
+    digest = sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

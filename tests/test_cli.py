@@ -1,5 +1,7 @@
 """CLI contract: JSON in/out, exit codes, determinism, and suites."""
 
+import functools
+import importlib.util
 import io
 import json
 import subprocess
@@ -427,11 +429,19 @@ def modules(*names) -> set:
     return {"jointtorsion." + name for name in names}
 
 
+# complexes takes SHA-256 from the interpreter's own _sha2 (3.12+) or _sha256
+# (3.10, 3.11) and imports hashlib, which loads OpenSSL's _hashlib, only on an
+# interpreter with neither; numpy 1.x imports numpy.random, and with it
+# hashlib, on import, so only the exact commands skip these two
+HASHLIB = {"hashlib", "_hashlib"}
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
 EXACT = modules("scalars", "linalg", "complexes", "koszul", "toeplitz",
                 "suites", "randgen")
 QUAD_LOADS = modules("koszul", "complexes", "linalg", "scalars")
-QUAD_SKIPS = modules("fredholm", "toeplitz", "suites", "randgen") | {
-    "hashlib", "numpy"}
+QUAD_SKIPS = modules("fredholm", "toeplitz", "suites", "randgen") | HASHLIB | {
+    "numpy"}
 
 # command: (request, modules it loads, modules it does not load); no command
 # loads dataclasses or fractions
@@ -444,14 +454,14 @@ COMMAND_MODULES = {
     "torsion": (
         {"cmd": "torsion",
          "payload": {"spaces": [1, 1], "differentials": [["2"]]}},
-        modules("complexes") | {"hashlib"},
-        modules("koszul", "fredholm") | {"numpy"}),
+        modules("complexes"),
+        modules("koszul", "fredholm") | HASHLIB | {"numpy"}),
     "toeplitz_exact": (
         {"cmd": "toeplitz_exact",
          "payload": {"f": {"leading": "1", "roots": ["1/2"]},
                      "g": {"leading": "1", "roots": ["1/3"]}}},
         modules("toeplitz"),
-        modules("koszul", "fredholm", "suites") | {"numpy"}),
+        modules("koszul", "fredholm", "suites") | HASHLIB | {"numpy"}),
     "toeplitz_numeric": (
         {"cmd": "toeplitz_numeric",
          "payload": {"f": {"coeffs": {"1": [0.5, 0.0]}},
@@ -459,8 +469,20 @@ COMMAND_MODULES = {
         modules("fredholm") | {"numpy"}, EXACT),
     "verify": (
         {"cmd": "verify", "payload": {"suite": "tame-oracle", "count": 1}},
-        modules("suites"), {"numpy"}),
+        modules("suites"), modules("fredholm") | HASHLIB | {"numpy"}),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def module_probe(cmd) -> tuple:
+    """(modules importing jointtorsion.cli added, modules it and the
+    command's request added) in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE,
+         json.dumps(COMMAND_MODULES[cmd][0])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(set(step) for step in json.loads(proc.stdout))
 
 
 def test_module_probe_covers_every_command():
@@ -469,17 +491,24 @@ def test_module_probe_covers_every_command():
 
 @pytest.mark.parametrize("cmd", list(COMMAND_MODULES))
 def test_fresh_interpreter_loads_only_what_its_command_runs(cmd):
-    request, loads, skips = COMMAND_MODULES[cmd]
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULE_PROBE, json.dumps(request)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    imported, loaded = (set(step) for step in json.loads(proc.stdout))
+    _, loads, skips = COMMAND_MODULES[cmd]
+    imported, loaded = module_probe(cmd)
     assert {m for m in imported if m.startswith("jointtorsion")} == {
         "jointtorsion"} | modules("cli", "errors")
-    assert not imported & {"dataclasses", "fractions", "hashlib", "numpy"}
+    assert not imported & ({"dataclasses", "fractions", "numpy"} | HASHLIB)
     assert loads <= loaded
-    assert not loaded & (skips | {"dataclasses", "fractions"})
+    assert not loaded & ((skips - HASHLIB) | {"dataclasses", "fractions"})
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason=(
+    "the interpreter has neither _sha2 nor _sha256, so complexes hashes "
+    "through hashlib"))
+@pytest.mark.parametrize("cmd", [cmd for cmd, (_, _, skips)
+                                 in COMMAND_MODULES.items()
+                                 if HASHLIB <= skips])
+def test_fresh_interpreter_exact_command_loads_no_hashlib(cmd):
+    _, loaded = module_probe(cmd)
+    assert not loaded & HASHLIB
 
 
 @pytest.mark.parametrize("key", ["+1", "01", " 1", "\u0661", "1_0", "-0"])

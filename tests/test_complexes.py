@@ -5,6 +5,7 @@ volume-element formula by hand: generator sets at the pivot columns, block
 determinants c_k, and the alternating exponents anchored at the top space.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -100,6 +101,25 @@ def test_generator_selection_invariance():
                     return chosen
 
         assert reference_torsion(seq, selector=pick) == torsion_scalar(seq)
+
+
+def hashlib_fingerprint(seq):
+    digest = hashlib.sha256(repr(seq.complex.dims_by_degree).encode())
+    for k in range(seq.length, -1, -1):
+        g = seq.basis(k) or ExactMatrix.identity(seq.complex.dim(k))
+        digest.update(";".join(e.to_text() for e in g.entries).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_fingerprint_is_the_sha256_hashlib_gives():
+    three_term = ChainComplexSpec([1, 2, 1], [mat([[1], [1]]), mat([[1, -1]])])
+    for seq in (
+            two_term(mat([[2, QiScalar(0, 1)], [0, 3]])),
+            BasedExactSequence(three_term),
+            BasedExactSequence(three_term, [
+                mat([[2]]), mat([[1, QiScalar(1, 2)], [0, QiScalar(0, 1)]]),
+                mat([[QiScalar(-3, 1)]])])):
+        assert seq.fingerprint() == hashlib_fingerprint(seq)
 
 
 def test_rebase_identity_keeps_torsion():
