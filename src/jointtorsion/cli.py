@@ -7,9 +7,11 @@ command lives inside the request, so suites are plain data:
     jointtorsion --suite finite-triviality --seed 7 --count 200
 
 Importing this module loads no other module of the package but ``errors``:
-each handler imports the modules its command runs, so a fresh process
-loads only those (a quad request never loads ``fredholm``, ``toeplitz``,
-``suites`` or numpy, and a numeric request no exact module).
+each handler imports the modules its command runs, so a fresh process loads
+only those (a quad request never loads ``fredholm``, ``toeplitz``,
+``suites`` or numpy, and a numeric request no exact module).  No other
+module knows the request grammar: ``suites`` takes its reproducers from the
+request writers below.
 
 Exit codes: 0 success, 2 domain error (a module precondition failed, a
 quad or pair ``dim`` above ``_MAX_OPERATOR_DIM``, torsion ``spaces`` that
@@ -47,20 +49,11 @@ from .errors import DomainError
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .fredholm import TrigPoly
+    from .koszul import KoszulQuadruple
     from .linalg import ExactMatrix
     from .scalars import QiScalar
     from .toeplitz import AnalyticSymbol
 
-# Each command with the keys its payload may hold; any other key is a schema
-# error, so that a misspelt key cannot silently fall back to a default.
-_COMMANDS = {
-    "torsion": ("spaces", "differentials", "bases"),
-    "joint_torsion_pair": ("dim", "a", "b"),
-    "joint_torsion_quad": ("dim", "a", "b", "c", "d"),
-    "toeplitz_exact": ("f", "g"),
-    "toeplitz_numeric": ("f", "g", "n", "buffer"),
-    "verify": ("suite", "count"),
-}
 _REQUEST_KEYS = ("cmd", "payload", "seed", "timing")
 
 # A dim-20 quadruple with invertible D takes 3-4 s on a 2-vCPU machine, and
@@ -97,17 +90,25 @@ class SchemaError(ValueError):
 
 # -- payload readers ---------------------------------------------------------
 
-def _need(payload: dict, key: str, path: str):
-    if key not in payload:
+def _need(obj: dict, key: str, path: str, read=None, *args):
+    """``obj[key]``, or ``read(obj[key], path.key, *args)``: each reader
+    takes the value it reads and that value's path."""
+    if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
-    return payload[key]
+    return obj[key] if read is None else read(obj[key], f"{path}.{key}", *args)
 
 
-def _only(obj: dict, keys: tuple, path: str) -> dict:
-    for key in obj:
+def _optional(obj: dict, key: str, path: str, read, *args):
+    """``_need``, but None where ``key`` is missing or null."""
+    return None if obj.get(key) is None else _need(obj, key, path, read, *args)
+
+
+def _only(value, path: str, keys: tuple) -> dict:
+    """An object that holds no key but ``keys``."""
+    for key in _as_dict(value, path):
         if key not in keys:
             raise SchemaError(f"{path}.{key}: unknown key")
-    return obj
+    return value
 
 
 def _as_int(value, path: str) -> int:
@@ -120,6 +121,12 @@ def _as_dim(value, path: str) -> int:
     value = _as_int(value, path)
     if value < 0:
         raise SchemaError(f"{path}: expected a nonnegative integer")
+    return value
+
+
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a string")
     return value
 
 
@@ -146,7 +153,7 @@ def _scalar(parse, value, path: str) -> QiScalar:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _matrix(value, rows: int, cols: int, path: str) -> ExactMatrix:
+def _matrix(value, path: str, rows: int, cols: int) -> ExactMatrix:
     from .linalg import ExactMatrix
     from .scalars import QiScalar
 
@@ -158,45 +165,55 @@ def _matrix(value, rows: int, cols: int, path: str) -> ExactMatrix:
                                     for i, v in enumerate(items)])
 
 
-def _operator_dim(payload: dict) -> int:
-    """The ``dim`` of a quad or pair request, capped before any matrix is
-    read."""
-    dim = _as_dim(_need(payload, "dim", "$.payload"), "$.payload.dim")
+def _matrices(value, path: str, shapes: list, need: str) -> list:
+    """One matrix per (rows, cols) in ``shapes``; ``need`` says how many."""
+    items = _as_list(value, path)
+    if len(items) != len(shapes):
+        raise SchemaError(f"{path}: need {need}")
+    return [_matrix(v, f"{path}[{i}]", rows, cols)
+            for i, (v, (rows, cols)) in enumerate(zip(items, shapes))]
+
+
+def _dims(value, path: str) -> list:
+    return [_as_dim(v, f"{path}[{i}]")
+            for i, v in enumerate(_as_list(value, path))]
+
+
+def _operators(payload: dict, keys: str) -> list:
+    """The matrices ``keys`` of a quad or pair request, ``dim`` capped first."""
+    dim = _need(payload, "dim", "$.payload", _as_dim)
     if dim > _MAX_OPERATOR_DIM:
         raise DomainError(f"dim {dim} exceeds the cap of {_MAX_OPERATOR_DIM}")
-    return dim
+    return [_need(payload, key, "$.payload", _matrix, dim, dim)
+            for key in keys]
 
 
-def _square(payload: dict, key: str, dim: int, path: str) -> ExactMatrix:
-    return _matrix(_need(payload, key, path), dim, dim, f"{path}.{key}")
+def _symbol_scalar(value, path: str) -> QiScalar:
+    from .scalars import QiScalar
 
-
-def _symbol_scalar(parse, value, path: str) -> QiScalar:
     if isinstance(value, str) and len(value) > _MAX_SYMBOL_TEXT:
         raise DomainError(f"{path} has {len(value)} characters, above the "
                           f"cap of {_MAX_SYMBOL_TEXT}")
-    return _scalar(parse, value, path)
+    return _scalar(QiScalar.parse, value, path)
 
 
-def _symbol(payload: dict, key: str) -> AnalyticSymbol:
-    """The symbol ``key`` of a toeplitz_exact request, its root count capped
-    before any root is read and each scalar's text length before it is
-    parsed."""
-    from .scalars import QiScalar
+def _roots(value, path: str, symbol: str) -> list:
+    """The roots of ``symbol``, their count capped before any is read."""
+    items = _as_list(value, path)
+    if len(items) > _MAX_ROOTS:
+        raise DomainError(f"{symbol} has {len(items)} roots, above the cap of "
+                          f"{_MAX_ROOTS}")
+    return [_symbol_scalar(v, f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _symbol(value, path: str, name: str) -> AnalyticSymbol:
+    """The symbol ``name`` of a toeplitz_exact request, each scalar's text
+    length capped before it is parsed."""
     from .toeplitz import AnalyticSymbol
 
-    path = f"$.payload.{key}"
-    obj = _only(_as_dict(_need(payload, key, "$.payload"), path),
-                ("leading", "roots"), path)
-    leading = _symbol_scalar(QiScalar.parse, _need(obj, "leading", path),
-                             f"{path}.leading")
-    items = _as_list(_need(obj, "roots", path), f"{path}.roots")
-    if len(items) > _MAX_ROOTS:
-        raise DomainError(f"{key} has {len(items)} roots, above the cap of "
-                          f"{_MAX_ROOTS}")
-    roots = [_symbol_scalar(QiScalar.parse, v, f"{path}.roots[{i}]")
-             for i, v in enumerate(items)]
-    return AnalyticSymbol(leading, roots)
+    obj = _only(value, path, ("leading", "roots"))
+    leading = _need(obj, "leading", path, _symbol_scalar)
+    return AnalyticSymbol(leading, _need(obj, "roots", path, _roots, name))
 
 
 def _finite(value, path: str) -> float:
@@ -214,159 +231,161 @@ def _finite(value, path: str) -> float:
 def _trig_poly(value, path: str) -> TrigPoly:
     from .fredholm import TrigPoly
 
-    obj = _only(_as_dict(value, path), ("coeffs",), path)
-    coeffs = _as_dict(_need(obj, "coeffs", path), f"{path}.coeffs")
+    obj = _only(value, path, ("coeffs",))
+    return TrigPoly(_need(obj, "coeffs", path, _coeffs))
+
+
+def _coeffs(value, path: str) -> dict:
+    """A trig polynomial's coefficients, keyed by degree."""
     out = {}
-    for key, pair in coeffs.items():
+    for key, pair in _as_dict(value, path).items():
         try:
             degree = int(key) if _DEGREE_TEXT.fullmatch(key) else None
         except ValueError:  # more digits than int() reads
             degree = None
         if degree is None:
-            raise SchemaError(f"{path}.coeffs: bad degree {key!r}")
-        arr = _as_list(pair, f"{path}.coeffs.{key}")
+            raise SchemaError(f"{path}: bad degree {key!r}")
+        arr = _as_list(pair, f"{path}.{key}")
         if len(arr) != 2:
-            raise SchemaError(f"{path}.coeffs.{key}: expected [re, im]")
-        out[degree] = complex(*(_finite(x, f"{path}.coeffs.{key}[{i}]")
+            raise SchemaError(f"{path}.{key}: expected [re, im]")
+        out[degree] = complex(*(_finite(x, f"{path}.{key}[{i}]")
                                 for i, x in enumerate(arr)))
-    return TrigPoly(out)
-
-
-def _float_text(x: float) -> str:
-    return f"{x:.15g}"
+    return out
 
 
 def _complex_text(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
-    return f"{_float_text(z.real)}{sign}{_float_text(abs(z.imag))}*i"
+    return f"{z.real:.15g}{sign}{abs(z.imag):.15g}*i"
 
 
-# -- command handlers ---------------------------------------------------------
+# -- request writers: each builds a request that the readers above accept -----
 
-def _handle_torsion(payload: dict) -> dict:
+def quad_request(q: KoszulQuadruple) -> dict:
+    """The joint_torsion_quad request for the quadruple ``q``."""
+    payload = {"dim": q.dim}
+    for key in "abcd":
+        payload[key] = [e.to_text() for e in getattr(q, key).entries]
+    return {"cmd": "joint_torsion_quad", "payload": payload}
+
+
+def toeplitz_exact_request(f: AnalyticSymbol, g: AnalyticSymbol) -> dict:
+    """The toeplitz_exact request for the symbols ``f`` and ``g``."""
+    return {"cmd": "toeplitz_exact",
+            "payload": {key: {"leading": s.leading.to_text(),
+                              "roots": [r.to_text() for r in s.roots]}
+                        for key, s in (("f", f), ("g", g))}}
+
+
+def verify_request(suite: str, count: int, seed: int) -> dict:
+    """The verify request for instances 0 .. count - 1 of ``suite``."""
+    return {"cmd": "verify", "payload": {"suite": suite, "count": count},
+            "seed": seed}
+
+
+# -- command handlers: each takes (payload, seed) -----------------------------
+
+def _handle_torsion(payload: dict, seed: int) -> dict:
     from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 
-    spaces = [_as_dim(v, f"$.payload.spaces[{i}]") for i, v in
-              enumerate(_as_list(_need(payload, "spaces", "$.payload"),
-                                 "$.payload.spaces"))]
+    spaces = _need(payload, "spaces", "$.payload", _dims)
     if sum(spaces) > _MAX_SPACES_TOTAL:
         raise DomainError(f"spaces total {sum(spaces)} exceeds the cap of "
                           f"{_MAX_SPACES_TOTAL}")
-    diffs_raw = _as_list(_need(payload, "differentials", "$.payload"),
-                         "$.payload.differentials")
-    if len(diffs_raw) != max(len(spaces) - 1, 0):
-        raise SchemaError("$.payload.differentials: need one per adjacent pair")
-    diffs = [_matrix(raw, spaces[i + 1], spaces[i],
-                     f"$.payload.differentials[{i}]")
-             for i, raw in enumerate(diffs_raw)]
-    bases = None
-    if payload.get("bases") is not None:
-        bases_raw = _as_list(payload["bases"], "$.payload.bases")
-        if len(bases_raw) != len(spaces):
-            raise SchemaError("$.payload.bases: need one basis per space")
-        bases = [_matrix(raw, spaces[i], spaces[i], f"$.payload.bases[{i}]")
-                 for i, raw in enumerate(bases_raw)]
+    diffs = _need(payload, "differentials", "$.payload", _matrices,
+                  list(zip(spaces[1:], spaces)), "one per adjacent pair")
+    bases = _optional(payload, "bases", "$.payload", _matrices,
+                   [(n, n) for n in spaces], "one basis per space")
     seq = BasedExactSequence(ChainComplexSpec(spaces, diffs), bases)
     return {"value": torsion_scalar(seq).to_text(),
             "report": {"spaces": spaces,
                        "basis_fingerprint": seq.fingerprint()}}
 
 
-def _handle_pair(payload: dict) -> dict:
+def _handle_pair(payload: dict, seed: int) -> dict:
     from .koszul import joint_torsion_pair
 
-    dim = _operator_dim(payload)
-    a = _square(payload, "a", dim, "$.payload")
-    b = _square(payload, "b", dim, "$.payload")
-    report = joint_torsion_pair(a, b)
-    return {"value": report.value.to_text(), "report": _quad_report(report)}
+    return _koszul_response(joint_torsion_pair(*_operators(payload, "ab")))
 
 
-def _handle_quad(payload: dict) -> dict:
+def _handle_quad(payload: dict, seed: int) -> dict:
     from .koszul import KoszulQuadruple, joint_torsion_quad
 
-    dim = _operator_dim(payload)
-    q = KoszulQuadruple(*(_square(payload, key, dim, "$.payload")
-                          for key in ("a", "b", "c", "d")))
-    report = joint_torsion_quad(q)
-    return {"value": report.value.to_text(), "report": _quad_report(report)}
+    q = KoszulQuadruple(*_operators(payload, "abcd"))
+    return _koszul_response(joint_torsion_quad(q))
 
 
-def _quad_report(report) -> dict:
-    return {
-        "sign_exponents": {
-            "lambda": report.lambda_exp, "pairing": report.pairing_exp,
-            "kappa_A": report.kappa_A, "kappa_B": report.kappa_B,
-            "kappa_C": report.kappa_C, "kappa_D": report.kappa_D,
-            "mu": report.mu_values},
-        "homology_dims": report.homology_dims,
-        "tau_AD": report.tau_AD.to_text(),
-        "tau_BC": report.tau_BC.to_text(),
-        "sigma_AD": report.sigma_AD.to_text(),
-        "sigma_BC": report.sigma_BC.to_text(),
-    }
+def _koszul_response(report) -> dict:
+    """The response to a pair or quad request, from its ``QuadReport``."""
+    return {"value": report.value.to_text(),
+            "report": {
+                "sign_exponents": {
+                    "lambda": report.lambda_exp, "pairing": report.pairing_exp,
+                    "kappa_A": report.kappa_A, "kappa_B": report.kappa_B,
+                    "kappa_C": report.kappa_C, "kappa_D": report.kappa_D,
+                    "mu": report.mu_values},
+                "homology_dims": report.homology_dims,
+                "tau_AD": report.tau_AD.to_text(),
+                "tau_BC": report.tau_BC.to_text(),
+                "sigma_AD": report.sigma_AD.to_text(),
+                "sigma_BC": report.sigma_BC.to_text()}}
 
 
-def _handle_toeplitz_exact(payload: dict) -> dict:
+def _handle_toeplitz_exact(payload: dict, seed: int) -> dict:
     from .toeplitz import restriction_data, tame_symbol, toeplitz_joint_torsion
 
-    f, g = _symbol(payload, "f"), _symbol(payload, "g")
+    f, g = (_need(payload, key, "$.payload", _symbol, key) for key in "fg")
     value = toeplitz_joint_torsion(restriction_data(f, g))
     return {"value": value.to_text(),
             "report": {"tame_symbol": tame_symbol(f, g).to_text(),
                        "winding_f": f.winding, "winding_g": g.winding}}
 
 
-def _handle_toeplitz_numeric(payload: dict) -> dict:
+def _handle_toeplitz_numeric(payload: dict, seed: int) -> dict:
     from .fredholm import closed_form_di, numeric_det_invariant
 
-    f = _trig_poly(_need(payload, "f", "$.payload"), "$.payload.f")
-    g = _trig_poly(_need(payload, "g", "$.payload"), "$.payload.g")
-    size = _as_int(_need(payload, "n", "$.payload"), "$.payload.n")
-    buffer = payload.get("buffer")
-    if buffer is not None:
-        buffer = _as_dim(buffer, "$.payload.buffer")
+    f, g = (_need(payload, key, "$.payload", _trig_poly) for key in "fg")
+    size = _need(payload, "n", "$.payload", _as_int)
+    buffer = _optional(payload, "buffer", "$.payload", _as_dim)
     value = numeric_det_invariant(f, g, size, buffer)
     closed = closed_form_di(f, g)
     return {"value": _complex_text(value),
             "report": {"closed_form": _complex_text(closed),
-                       "abs_error": _float_text(abs(value - closed)),
+                       "abs_error": f"{abs(value - closed):.15g}",
                        "n": size}}
 
 
 def _handle_verify(payload: dict, seed: int) -> dict:
     from .suites import run_suite
 
-    name = _need(payload, "suite", "$.payload")
-    if not isinstance(name, str):
-        raise SchemaError("$.payload.suite: expected a string")
-    count = _as_int(_need(payload, "count", "$.payload"), "$.payload.count")
+    name = _need(payload, "suite", "$.payload", _as_str)
+    count = _need(payload, "count", "$.payload", _as_int)
     if count > _MAX_SUITE_COUNT:
         raise DomainError(f"count {count} exceeds the cap of "
                           f"{_MAX_SUITE_COUNT}")
     return run_suite(name, seed, count)
 
 
+# Each command's payload keys and handler; any other key is a schema error,
+# so that a misspelt key cannot silently fall back to a default.
+_COMMANDS = {
+    "torsion": (("spaces", "differentials", "bases"), _handle_torsion),
+    "joint_torsion_pair": (("dim", "a", "b"), _handle_pair),
+    "joint_torsion_quad": (("dim", "a", "b", "c", "d"), _handle_quad),
+    "toeplitz_exact": (("f", "g"), _handle_toeplitz_exact),
+    "toeplitz_numeric": (("f", "g", "n", "buffer"), _handle_toeplitz_numeric),
+    "verify": (("suite", "count"), _handle_verify),
+}
+
+
 def run_request(request: dict) -> dict:
     """Dispatch a validated request object; raises SchemaError/DomainError."""
-    request = _only(_as_dict(request, "$"), _REQUEST_KEYS, "$")
+    request = _only(request, "$", _REQUEST_KEYS)
     cmd = _need(request, "cmd", "$")
     if not isinstance(cmd, str) or cmd not in _COMMANDS:
         raise SchemaError(f"$.cmd: unknown command {cmd!r}")
-    payload = _only(_as_dict(request.get("payload", {}), "$.payload"),
-                    _COMMANDS[cmd], "$.payload")
-    seed = _as_int(request.get("seed", 0), "$.seed")
-    if cmd == "torsion":
-        return _handle_torsion(payload)
-    if cmd == "joint_torsion_pair":
-        return _handle_pair(payload)
-    if cmd == "joint_torsion_quad":
-        return _handle_quad(payload)
-    if cmd == "toeplitz_exact":
-        return _handle_toeplitz_exact(payload)
-    if cmd == "toeplitz_numeric":
-        return _handle_toeplitz_numeric(payload)
-    return _handle_verify(payload, seed)
+    keys, handle = _COMMANDS[cmd]
+    payload = _only(request.get("payload", {}), "$.payload", keys)
+    return handle(payload, _as_int(request.get("seed", 0), "$.seed"))
 
 
 def _emit(obj: dict) -> None:
@@ -382,10 +401,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.suite is not None:
-        request = {"cmd": "verify",
-                   "payload": {"suite": args.suite,
-                               "count": args.count if args.count is not None else 100},
-                   "seed": args.seed if args.seed is not None else 0}
+        request = verify_request(
+            args.suite, args.count if args.count is not None else 100,
+            args.seed if args.seed is not None else 0)
     else:
         text = sys.stdin.read()
         try:

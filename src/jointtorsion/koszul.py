@@ -95,7 +95,6 @@ class QuadHomology:
     """
 
     def __init__(self, q: KoszulQuadruple, rebasing=None):
-        self.quad = q
         sq = {}
         for name, op in zip("ABCD", (q.a, q.b, q.c, q.d)):
             sq[f"ker_{name}"], sq[f"coker_{name}"] = _kernel_cokernel(op)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import sha256
+from .complexes import BasedExactSequence, ChainComplexSpec, sha256
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
 from .scalars import QiScalar, _reduced, qi_modulus_cmp_one
@@ -145,11 +145,9 @@ def random_symbol(rng: random.Random, max_roots: int = 3,
 
 def random_exact_sequence(rng: random.Random, max_len: int = 5,
                           max_rank: int = 3, mag: int = 3,
-                          exact_len: bool = False) -> "BasedExactSequence":
+                          exact_len: bool = False) -> BasedExactSequence:
     """A random exact sequence: model ranks conjugated by random changes of
     basis in every degree."""
-    from .complexes import BasedExactSequence, ChainComplexSpec
-
     n = max_len if exact_len else rng.randint(1, max_len)
     ranks = [0] + [rng.randint(0, max_rank) for _ in range(n)] + [0]
     dims = [ranks[k] + ranks[k + 1] for k in range(n + 1)]  # by degree

@@ -2,18 +2,19 @@
 
 Each ``SUITES`` entry is a function ``(rng, index) -> rows`` that draws one
 instance from ``rng`` and returns a list (not a generator) of
-``(property, holds, request)`` rows, ``request`` being a request that
-replays the instance on its own, or None.  ``run_suite`` alone gives
-instance i the stream ``child_rng(seed, i)`` (sha256 of seed and i), runs
-the instances in index order, gives a failing row without a request the
-reproducer ``verify`` with the same seed and count i + 1, and tallies the
-summary.  To add a suite, add such a function to ``SUITES``.
+``(property, holds, request)`` rows, ``request`` being a ``cli`` writer's
+request that replays the instance on its own, or None.  ``run_suite`` alone
+gives instance i the stream ``child_rng(seed, i)`` (sha256 of seed and i),
+runs the instances in index order, gives a failing row without a request
+the reproducer ``verify`` with the same seed and count i + 1, and tallies
+the summary.  To add a suite, add such a function to ``SUITES``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
+from .cli import quad_request, toeplitz_exact_request, verify_request
 from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
 from .errors import DomainError
 from .koszul import (FACTORIZATION_SELECTORS, KoszulQuadruple,
@@ -29,21 +30,10 @@ from .toeplitz import (AnalyticSymbol, restriction_data, restriction_sequences,
                        tame_symbol, toeplitz_joint_torsion)
 
 
-def _matrix_payload(m: ExactMatrix) -> list:
-    return [e.to_text() for e in m.entries]
-
-
-def _quad_request(q: KoszulQuadruple) -> dict:
-    return {"cmd": "joint_torsion_quad",
-            "payload": {"dim": q.dim,
-                        "a": _matrix_payload(q.a), "b": _matrix_payload(q.b),
-                        "c": _matrix_payload(q.c), "d": _matrix_payload(q.d)}}
-
-
 def _suite_finite_triviality(rng, index, family=random_quadruple):
     q = family(rng, rng.randint(1, 6))
     return [("joint torsion equals 1",
-             joint_torsion_quad(q).value == QiScalar(1), _quad_request(q))]
+             joint_torsion_quad(q).value == QiScalar(1), quad_request(q))]
 
 
 def _suite_torsion_determinant(rng, index):
@@ -68,7 +58,7 @@ def _suite_direct_sum(rng, index):
     lhs = joint_torsion_quad(q).value
     rhs = joint_torsion_quad(q1).value * joint_torsion_quad(q2).value
     return [("direct sum multiplies joint torsion", lhs == rhs,
-             _quad_request(q))]
+             quad_request(q))]
 
 
 def _suite_basis_independence(rng, index):
@@ -98,15 +88,9 @@ def _disjoint_symbols(rng):
             return f, g
 
 
-def _symbol_payload(s) -> dict:
-    return {"leading": s.leading.to_text(),
-            "roots": [r.to_text() for r in s.roots]}
-
-
 def _suite_tame_oracle(rng, index):
     f, g = _disjoint_symbols(rng)
-    request = {"cmd": "toeplitz_exact",
-               "payload": {"f": _symbol_payload(f), "g": _symbol_payload(g)}}
+    request = toeplitz_exact_request(f, g)
     data = restriction_data(f, g)
     machinery = toeplitz_joint_torsion(data)
     oracle = tame_symbol(f, g)
@@ -220,12 +204,8 @@ def run_suite(name: str, seed: int, count: int) -> dict:
             stats = properties.setdefault(prop, {"pass": 0, "fail": 0})
             stats["pass" if holds else "fail"] += 1
             if not holds:
-                if request is None:
-                    request = {"cmd": "verify",
-                               "payload": {"suite": name, "count": i + 1},
-                               "seed": seed}
-                failures.append({"index": i, "property": prop,
-                                 "reproducer": request})
+                failures.append({"index": i, "property": prop, "reproducer":
+                                 request or verify_request(name, i + 1, seed)})
         passes += len(failures) == failed_before
     return {"suite": name, "seed": seed, "count": count, "passes": passes,
             "failures": failures, "properties": properties}

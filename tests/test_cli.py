@@ -565,10 +565,11 @@ def test_null_seed_exits_3():
 
 
 def test_internal_error_exits_4_with_json_body(monkeypatch, capsys):
-    def broken(payload):
+    def broken(payload, seed):
         raise RuntimeError("internal: synthetic failure")
 
-    monkeypatch.setattr(cli, "_handle_quad", broken)
+    keys, _ = cli._COMMANDS["joint_torsion_quad"]
+    monkeypatch.setitem(cli._COMMANDS, "joint_torsion_quad", (keys, broken))
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(ZERO_QUAD)))
     assert cli.main([]) == 4
     out = capsys.readouterr().out
@@ -668,7 +669,7 @@ def _with_key(request, path, key):
 def test_every_command_is_covered_by_the_key_grammar():
     assert set(EVERY_KEY) == set(cli._COMMANDS)
     for cmd, request in EVERY_KEY.items():
-        assert set(request["payload"]) == set(cli._COMMANDS[cmd])
+        assert set(request["payload"]) == set(cli._COMMANDS[cmd][0])
 
 
 KEY_PATHS = [*((cmd, ()) for cmd in EVERY_KEY),
@@ -706,3 +707,61 @@ def test_command_that_is_not_a_string_exits_3(cmd):
     # the command table is a dict, and a list or an object is no key of it
     with pytest.raises(SchemaError, match=r"^\$\.cmd: unknown command"):
         run_request({"cmd": cmd})
+
+
+# -- the request writers round-trip through the readers -------------------------
+
+def _quadruples(family):
+    """The dim 0 quadruple, which ``randgen`` does not draw, then three of
+    ``family`` at each dim 1 to 4."""
+    from jointtorsion.koszul import KoszulQuadruple
+    from jointtorsion.linalg import ExactMatrix
+
+    zero = ExactMatrix.zero(0, 0)
+    yield KoszulQuadruple(zero, zero, zero, zero)
+    for dim in range(1, 5):
+        for i in range(3):
+            yield family(child_rng(dim, i), dim)
+
+
+@pytest.mark.parametrize("family", ["random_quadruple",
+                                    "random_singular_d_quadruple"])
+def test_quad_request_replays_its_quadruple(family):
+    from jointtorsion import randgen
+    from jointtorsion.koszul import joint_torsion_quad
+
+    for q in _quadruples(getattr(randgen, family)):
+        out = run_request(cli.quad_request(q))
+        report = joint_torsion_quad(q)
+        assert out["value"] == report.value.to_text() == "1"
+        assert out["report"]["homology_dims"] == report.homology_dims
+        for key in ("tau_AD", "tau_BC", "sigma_AD", "sigma_BC"):
+            assert out["report"][key] == getattr(report, key).to_text()
+        assert out["report"]["sign_exponents"] == {
+            "lambda": report.lambda_exp, "pairing": report.pairing_exp,
+            "kappa_A": report.kappa_A, "kappa_B": report.kappa_B,
+            "kappa_C": report.kappa_C, "kappa_D": report.kappa_D,
+            "mu": report.mu_values}
+
+
+def test_toeplitz_exact_request_replays_its_symbols():
+    from jointtorsion.suites import _disjoint_symbols
+    from jointtorsion.toeplitz import restriction_data, toeplitz_joint_torsion
+
+    for i in range(20):
+        f, g = _disjoint_symbols(child_rng(26, i))
+        value = toeplitz_joint_torsion(restriction_data(f, g))
+        out = run_request(cli.toeplitz_exact_request(f, g))
+        assert out["value"] == value.to_text()
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_request_is_what_the_suite_flag_runs(suite, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main(["--suite", suite, "--seed", "3", "--count", "2"]) == 0
+    response = run_request(cli.verify_request(suite, 2, 3))
+    assert (response["suite"], response["seed"], response["count"]) == (
+        suite, 3, 2)
+    assert capsys.readouterr().out == json.dumps(
+        response, sort_keys=True, separators=(",", ":")) + "\n"
