@@ -315,7 +315,8 @@ def _handle_quad(payload: dict, seed: int) -> dict:
 
 
 def _koszul_response(report) -> dict:
-    """The response to a pair or quad request, from its ``QuadReport``."""
+    """The response to a pair or quad request, from its
+    ``JointTorsionReport``."""
     return {"value": report.value.to_text(),
             "report": {
                 "sign_exponents": {

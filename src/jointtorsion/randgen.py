@@ -73,7 +73,8 @@ def random_singularized(rng: random.Random, n: int, mag: int = 4) -> ExactMatrix
     """A random matrix with some columns zeroed to offer nontrivial kernels."""
     m = random_matrix(rng, n, n, mag)
     kill = [j for j in range(n) if rng.random() < 0.45]
-    if not kill and rng.random() < 0.5:
+    # the draw comes first at every n, and at n = 0 there is no column
+    if not kill and rng.random() < 0.5 and n:
         kill = [rng.randrange(n)]
     if not kill:
         return m

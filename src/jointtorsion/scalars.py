@@ -4,7 +4,8 @@ A scalar is three integers (a, b, d) for (a + b*i) / d, the form in which
 the elimination kernel of ``linalg`` holds a row, kept canonical at all
 times: gcd(a, b, d) = 1, d > 0, and zero stored uniquely as (0, 0, 1).
 Equality is therefore structural equality of the three integers, and
-scalars are hashable and safe to share.
+scalars are hashable and safe to share.  ``QiScalar(a, b, d)`` builds one
+from any three ints with d != 0 and makes it canonical.
 
 The textual form is ``p/q+r/s*i`` with parts omitted when zero, e.g. ``3``,
 ``-1/2*i``, ``1/2-2/3*i``; each part is reduced only when it is printed.
@@ -22,40 +23,15 @@ from math import gcd
 from .errors import DomainError
 
 
-def _fraction_pair(value):
-    """(numerator, denominator) of a ``fractions.Fraction``, else None.
-
-    No object is a Fraction unless ``fractions`` is loaded, so the module
-    is looked up, never imported: a request does not pay for it.
-    """
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return value.numerator, value.denominator
-    return None
-
-
-def _as_pair(value) -> tuple[int, int]:
-    """A rational (num, den) from an int, a Fraction or (num, den)."""
-    if isinstance(value, int):
-        return value, 1
-    # tuple first: every parse passes one
-    if isinstance(value, tuple) and len(value) == 2:
-        return int(value[0]), int(value[1])
-    pair = _fraction_pair(value)
-    if pair is None:
-        raise TypeError(f"cannot build a rational part from {value!r}")
-    return pair
-
-
 class QiScalar:
     """An exact Gaussian rational ``(a + b*i) / d``."""
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
-        rn, rd = _as_pair(re)
-        im_n, im_d = _as_pair(im)
-        a, b, d = rn * im_d, im_n * rd, rd * im_d
+    def __init__(self, a=0, b=0, d=1):
+        for part in (a, b, d):
+            if not isinstance(part, int):
+                raise TypeError(f"a scalar part must be an int, not {part!r}")
         if d < 0:
             a, b, d = -a, -b, -d
         elif not d:
@@ -178,12 +154,14 @@ class QiScalar:
         m = _SCALAR_TEXT.fullmatch(text)
         if m is None:
             raise ValueError(f"bad scalar text {text!r}")
-        real = _rat_pair(m["re"]) if m["re"] else (0, 1)
-        imag = (0, 1)
+        p, q = _rat_pair(m["re"]) if m["re"] else (0, 1)
+        r, s = 0, 1
         if m["imag"] is not None:
-            num, den = _rat_pair(m["im"]) if m["im"] else (1, 1)
-            imag = (-num if m["sign"] == "-" else num, den)
-        return cls(real, imag)
+            r, s = _rat_pair(m["im"]) if m["im"] else (1, 1)
+            if m["sign"] == "-":
+                r = -r
+        # p/q + (r/s) i = (p s + r q i) / (q s)
+        return cls(p * s, r * q, q * s)
 
     def __repr__(self):
         return f"QiScalar({self.to_text()!r})"
@@ -212,8 +190,7 @@ def _coerce(value):
         return value
     if isinstance(value, int):
         return _raw(value, 0, 1)
-    pair = _fraction_pair(value)
-    return None if pair is None else _raw(pair[0], 0, pair[1])
+    return None
 
 
 def _rat_text(num: int, den: int) -> str:

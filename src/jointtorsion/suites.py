@@ -115,8 +115,9 @@ def _suite_steinberg(rng, index):
     rows.append(("skew symmetry",
                  tame_symbol(f, g) * tame_symbol(g, f) == QiScalar(1), None))
     while True:
-        c = QiScalar((rng.randint(-6, 6), rng.randint(1, 6)),
-                     (rng.randint(-6, 6), rng.randint(1, 6)))
+        p, q = rng.randint(-6, 6), rng.randint(1, 6)
+        r, s = rng.randint(-6, 6), rng.randint(1, 6)
+        c = QiScalar(p, 0, q) + QiScalar(0, r, s)  # p/q + (r/s) i
         if not c.is_zero() and qi_modulus_cmp_one(c) != "equal":
             break
     affine = AnalyticSymbol(c, [QiScalar(0)])

@@ -8,20 +8,38 @@ code that ``cli.main`` gave for it.  This script replays every line and
 writes back what the current tree prints.  To add a case, append a line
 with its name, argv and stdin and run the script.
 
-Rewrite the corpus only when a change alters output on purpose, and say so
+The script also writes ``digests.jsonl``: one line per case of
+``DIGEST_CASES``, its name and the SHA-256 of its canonical output.  These
+cases draw their inputs from the package's own ``randgen`` and reach past
+the corpus: quadruples up to dim 12, the bases every homology space keeps,
+and suite summaries at count 30.  All of them are exact.
+
+Rewrite both files only when a change alters output on purpose, and say so
 in CHANGES.md: ``tests/test_golden.py`` holds the tree to these bytes.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import sys
+from functools import partial
 
 from jointtorsion import cli
+from jointtorsion.koszul import QuadHomology
+from jointtorsion.randgen import (child_rng, random_commuting_pair,
+                                  random_exact_sequence, random_invertible,
+                                  random_quadruple, random_singular_d_quadruple,
+                                  random_symbol)
+from jointtorsion.suites import SUITES, run_suite
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "requests.jsonl")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "requests.jsonl")
+DIGESTS = os.path.join(HERE, "digests.jsonl")
+
+# Instance i of every randgen case draws from child_rng(_SEED, i).
+_SEED = 1
 
 
 def replay(argv, stdin):
@@ -37,6 +55,110 @@ def replay(argv, stdin):
     return out.getvalue(), code
 
 
+# -- digest cases: each returns its canonical output as text -------------------
+
+def _canonical(obj) -> str:
+    """The bytes ``cli`` writes for a response object."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _entries(m) -> list:
+    return [e.to_text() for e in m.entries]
+
+
+def _shaped(m) -> list:
+    return [m.rows, m.cols, _entries(m)]
+
+
+def _quad_response(family, dim):
+    q = family(child_rng(_SEED, dim), dim)
+    return _canonical(cli.run_request(cli.quad_request(q)))
+
+
+def _homology_bases(family, dim):
+    """Every homology space's rep_basis and project_map."""
+    spaces = QuadHomology(family(child_rng(_SEED, dim), dim)).spaces
+    return _canonical({label: [_shaped(sq.rep_basis), _shaped(sq.project_map)]
+                       for label, sq in spaces.items()})
+
+
+def _torsion_response(index):
+    """A random exact sequence; odd instances also carry random bases."""
+    rng = child_rng(_SEED, index)
+    cpx = random_exact_sequence(rng, max_len=5, max_rank=3).complex
+    spaces = cpx.dims_by_degree[::-1]
+    payload = {"spaces": spaces,
+               "differentials": [_entries(cpx.differential(k))
+                                 for k in range(cpx.length, 0, -1)]}
+    if index % 2:
+        payload["bases"] = [_entries(random_invertible(rng, n, mag=2))
+                            for n in spaces]
+    return _canonical(cli.run_request({"cmd": "torsion", "payload": payload}))
+
+
+def _pair_response(dim):
+    a, b = random_commuting_pair(child_rng(_SEED, dim), dim)
+    return _canonical(cli.run_request(
+        {"cmd": "joint_torsion_pair",
+         "payload": {"dim": dim, "a": _entries(a), "b": _entries(b)}}))
+
+
+def _toeplitz_response(index):
+    rng = child_rng(_SEED, index)
+    while True:
+        f, g = random_symbol(rng), random_symbol(rng)
+        if not set(f.inside_roots) & set(g.inside_roots):
+            break
+    return _canonical(cli.run_request(cli.toeplitz_exact_request(f, g)))
+
+
+def _cap_shape_response():
+    """toeplitz_exact with 8 roots 1/p+1/qi in each symbol, on 32 distinct
+    3-digit primes: the shape of request that sets the symbol caps."""
+    primes = [p for p in range(101, 1000)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))][:32]
+    roots = [f"1/{p}+1/{q}i" for p, q in zip(primes[::2], primes[1::2])]
+    return _canonical(cli.run_request(
+        {"cmd": "toeplitz_exact",
+         "payload": {"f": {"leading": "2", "roots": roots[:8]},
+                     "g": {"leading": "3", "roots": roots[8:]}}}))
+
+
+def _suite_summary(name, seed):
+    return _canonical(run_suite(name, seed, 30))
+
+
+def _digest_cases() -> dict:
+    """Each case's name and the function that computes its output."""
+    cases = {}
+    for family_name, family in (("invertible-d", random_quadruple),
+                                ("singular-d", random_singular_d_quadruple)):
+        for dim in range(1, 13):
+            cases[f"quad-{family_name}-dim{dim}"] = partial(
+                _quad_response, family, dim)
+            cases[f"homology-{family_name}-dim{dim}"] = partial(
+                _homology_bases, family, dim)
+    for i in range(6):
+        cases[f"torsion-{i}"] = partial(_torsion_response, i)
+        cases[f"pair-dim{i + 1}"] = partial(_pair_response, i + 1)
+        cases[f"toeplitz-exact-{i}"] = partial(_toeplitz_response, i)
+    cases["toeplitz-exact-cap-shape-8-roots"] = _cap_shape_response
+    for name in SUITES:
+        if name != "numeric-convergence":  # exact suites only
+            for seed in (1, 2, 3):
+                cases[f"suite-{name}-seed{seed}"] = partial(
+                    _suite_summary, name, seed)
+    return cases
+
+
+DIGEST_CASES = _digest_cases()
+
+
+def digest(name: str) -> str:
+    """The SHA-256 hex digest of case ``name``'s canonical output."""
+    return hashlib.sha256(DIGEST_CASES[name]().encode()).hexdigest()
+
+
 def main() -> int:
     with open(CORPUS, encoding="utf-8") as fh:
         cases = [json.loads(line) for line in fh if line.strip()]
@@ -45,6 +167,11 @@ def main() -> int:
             case["stdout"], case["exit"] = replay(case["argv"], case["stdin"])
             fh.write(json.dumps(case, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {CORPUS}")
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        for name in DIGEST_CASES:
+            fh.write(json.dumps({"name": name, "sha256": digest(name)},
+                                sort_keys=True) + "\n")
+    print(f"wrote {len(DIGEST_CASES)} digests to {DIGESTS}")
     return 0
 
 

@@ -98,7 +98,7 @@ def test_sigma_equal_operators_is_one():
 
 
 def test_sigma_invertible_scalars():
-    assert perturbation_sigma(mat([[2]]), mat([[3]])) == QiScalar((3, 2))
+    assert perturbation_sigma(mat([[2]]), mat([[3]])) == QiScalar(3, 0, 2)
 
 
 def test_sigma_zero_operators():

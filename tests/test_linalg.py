@@ -307,7 +307,7 @@ def test_induced_map_respects_composition():
         sq = cokernel_of(m)
         # any operators preserving im(m): multiples of identity do
         u = ExactMatrix.identity(n).scale(QiScalar(2))
-        v = ExactMatrix.identity(n).scale(QiScalar((1, 3)))
+        v = ExactMatrix.identity(n).scale(QiScalar(1, 0, 3))
         lhs = induced_map(u * v, sq, sq)
         rhs = induced_map(u, sq, sq) * induced_map(v, sq, sq)
         assert lhs == rhs
@@ -420,19 +420,23 @@ def test_kernel_matches_reference_on_square_singular():
 def test_kernel_matches_reference_with_many_prime_denominators():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     rng = child_rng(17, 30)
-    ent = [QiScalar((rng.randint(-60, 60), p),
-                    (rng.randint(-60, 60), primes[-1 - k]))
-           for k, p in enumerate(primes)]
+    ent = []
+    for k, p in enumerate(primes):
+        q = primes[-1 - k]
+        # x/p + (y/q) i = (x q + y p i) / (p q)
+        ent.append(QiScalar(rng.randint(-60, 60) * q,
+                            rng.randint(-60, 60) * p, p * q))
     m = ExactMatrix(4, 4, ent)
     assert_matches_reference(m)
     assert_matches_reference(m.hstack(m.scale(QiScalar(1, 1))))
-    assert_matches_reference(m.vstack(m.scale(QiScalar((1, 7)))))
+    assert_matches_reference(m.vstack(m.scale(QiScalar(1, 0, 7))))
 
 
 def test_kernel_matches_reference_with_large_entries():
     rng = child_rng(17, 40)
     big = 2 ** 90
-    ent = [random_qi(rng) * QiScalar((rng.randint(-big, big), rng.randint(1, big)))
+    ent = [random_qi(rng) * QiScalar(rng.randint(-big, big), 0,
+                                     rng.randint(1, big))
            for _ in range(5 * 6)]
     assert_matches_reference(ExactMatrix(5, 6, ent))
     assert_matches_reference(ExactMatrix(5, 5, ent[:25]))
@@ -440,8 +444,11 @@ def test_kernel_matches_reference_with_large_entries():
 
 # -- rref invariants on generated matrices -------------------------------------
 
-PARTS = st.tuples(st.integers(-3, 3), st.integers(1, 4))
-SCALARS = st.builds(QiScalar, PARTS, st.one_of(st.just(0), PARTS))
+# (a + b i) / d with |a|, |b| <= 12 and 0 < |d| <= 16, the reach of
+# p/q + (r/s) i with |p|, |r| <= 3 and 1 <= q, s <= 4
+SCALARS = st.builds(QiScalar, st.integers(-12, 12),
+                    st.one_of(st.just(0), st.integers(-12, 12)),
+                    st.integers(-16, 16).filter(bool))
 
 
 @st.composite
@@ -493,7 +500,7 @@ def standalone_determinant(m):
     if swaps % 2:
         pr, pi = -pr, -pi
     den = prod(d for _, _, d in rows)
-    return QiScalar((pr, den), (pi, den))
+    return QiScalar(pr, pi, den)
 
 
 def jordan_pivots(m):

@@ -120,7 +120,7 @@ def test_every_scalar_attribute_the_tracer_reads_exists():
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "s"}
     assert read
-    x = jointtorsion.QiScalar((3, 4), (-1, 2))
+    x = jointtorsion.QiScalar(3, -2, 4)  # 3/4 - 1/2 i
     for attr in read:
         assert type(getattr(x, attr, None)) is int, f"QiScalar.{attr}"
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from jointtorsion import ExactMatrix, QiScalar
+from jointtorsion.koszul import joint_torsion_quad
 from jointtorsion.randgen import (child_rng, random_invertible, random_qi,
+                                  random_quadruple, random_singular_d_quadruple,
                                   random_symbol)
 
 from test_linalg import reference_determinant
@@ -20,12 +22,12 @@ SEEDS = range(200)
 # -- references: the generators as first written ----------------------------
 
 def reference_qi(rng, mag=4, imag_prob=0.5):
-    re = (rng.randint(-mag, mag), rng.randint(1, mag))
+    p, q = rng.randint(-mag, mag), rng.randint(1, mag)
+    r, s = 0, 1
     if rng.random() < imag_prob:
-        im = (rng.randint(-mag, mag), rng.randint(1, mag))
-    else:
-        im = 0
-    return QiScalar(re, im)
+        r, s = rng.randint(-mag, mag), rng.randint(1, mag)
+    # p/q + (r/s) i = (p s + r q i) / (q s)
+    return QiScalar(p * s, r * q, q * s)
 
 
 def fraction_key(r):
@@ -127,3 +129,13 @@ def test_random_invertible_stream_is_pinned():
         n = 1 + seed % 4
         assert random_invertible(rng, n) == reference_invertible(ref, n)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("family", [random_quadruple,
+                                    random_singular_d_quadruple])
+def test_quadruple_families_build_at_dim_0(family):
+    # random_singularized draws whether to zero one column at every size;
+    # at dim 0 there is no column to draw
+    for index in range(20):
+        q = family(child_rng(5, index), 0)
+        assert joint_torsion_quad(q).value.to_text() == "1"
