@@ -20,17 +20,17 @@ symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
 longer than ``_MAX_SYMBOL_TEXT`` characters, a verify ``count`` above
 ``_MAX_SUITE_COUNT``, or a result part with more digits than
 ``sys.get_int_max_str_digits()``), 3 parse error (malformed JSON, including
-an integer literal over that digit limit and nesting deeper than the
-recursion limit, or a payload that does not match the command's schema,
-including a key the request, its payload, a symbol or a trig polynomial
-does not have, scalar text outside the ASCII grammar or with a part over
-the digit limit, a negative dimension or buffer, a seed that
-is not an integer, a trig degree key outside ``0|-?[1-9][0-9]*`` and a trig
-coefficient that is a boolean or not a finite number; messages carry the
-JSON path), 4 internal error (any other exception; the body is
-{"error": "..."}, never a traceback).  Output bytes are identical for
-identical (request, seed); wall-clock timing is only included when the
-request sets "timing": true.
+a key repeated in one object, an integer literal over that digit limit and
+nesting deeper than the recursion limit, or a payload that does not match
+the command's schema, including a key the request, its payload, a symbol or
+a trig polynomial does not have, scalar text outside the ASCII grammar or
+with a part over the digit limit, a negative dimension or buffer, a seed
+that is not an integer, a timing that is not a boolean, a trig degree key
+outside ``0|-?[1-9][0-9]*`` and a trig coefficient that is a boolean or not
+a finite number; messages carry the JSON path), 4 internal error (any other
+exception; the body is {"error": "..."}, never a traceback).  Output bytes
+are identical for identical (request, seed); wall-clock timing is only
+included when the request sets "timing": true.
 """
 
 from __future__ import annotations
@@ -121,6 +121,12 @@ def _as_dim(value, path: str) -> int:
     value = _as_int(value, path)
     if value < 0:
         raise SchemaError(f"{path}: expected a nonnegative integer")
+    return value
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{path}: expected a boolean")
     return value
 
 
@@ -285,7 +291,7 @@ def verify_request(suite: str, count: int, seed: int) -> dict:
 # -- command handlers: each takes (payload, seed) -----------------------------
 
 def _handle_torsion(payload: dict, seed: int) -> dict:
-    from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
+    from .complexes import BasedExactSequence, torsion_scalar
 
     spaces = _need(payload, "spaces", "$.payload", _dims)
     if sum(spaces) > _MAX_SPACES_TOTAL:
@@ -295,7 +301,7 @@ def _handle_torsion(payload: dict, seed: int) -> dict:
                   list(zip(spaces[1:], spaces)), "one per adjacent pair")
     bases = _optional(payload, "bases", "$.payload", _matrices,
                    [(n, n) for n in spaces], "one basis per space")
-    seq = BasedExactSequence(ChainComplexSpec(spaces, diffs), bases)
+    seq = BasedExactSequence(spaces, diffs, bases)
     return {"value": torsion_scalar(seq).to_text(),
             "report": {"spaces": spaces,
                        "basis_fingerprint": seq.fingerprint()}}
@@ -386,7 +392,20 @@ def run_request(request: dict) -> dict:
         raise SchemaError(f"$.cmd: unknown command {cmd!r}")
     keys, handle = _COMMANDS[cmd]
     payload = _only(request.get("payload", {}), "$.payload", keys)
-    return handle(payload, _as_int(request.get("seed", 0), "$.seed"))
+    seed = _as_int(request.get("seed", 0), "$.seed")
+    _optional(request, "timing", "$", _as_bool)  # main adds the timing
+    return handle(payload, seed)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is an error,
+    where ``json.loads`` alone would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _emit(obj: dict) -> None:
@@ -408,14 +427,14 @@ def main(argv=None) -> int:
     else:
         text = sys.stdin.read()
         try:
-            request = json.loads(text)
+            request = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             _emit({"error": f"parse error at line {exc.lineno} column "
                             f"{exc.colno}: {exc.msg}"})
             return 3
         except (ValueError, RecursionError) as exc:
-            # an integer literal longer than int() reads, or nesting deeper
-            # than the recursion limit
+            # a duplicate key, an integer literal longer than int() reads,
+            # or nesting deeper than the recursion limit
             _emit({"error": f"parse error: {exc}"})
             return 3
         if args.seed is not None and isinstance(request, dict):
@@ -438,7 +457,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 4
-    if isinstance(request, dict) and request.get("timing") is True:
+    if request.get("timing"):
         response["timing_ms"] = int((time.monotonic() - started) * 1000)
     _emit(response)
     return 0

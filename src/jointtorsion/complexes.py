@@ -4,6 +4,7 @@ Conventions, fixed once and used everywhere:
 
 * A complex ``0 -> V_n -> ... -> V_0 -> 0`` is constructed from top-degree
   data (dims and differentials listed from degree n down), stored by degree.
+  A based exact sequence is such a complex; building one checks exactness.
   ``d_k`` maps ``V_k`` to ``V_{k-1}``; the boundary maps ``d_0`` and
   ``d_{n+1}`` are zero-shaped matrices so kernels and images at the ends
   come out of the same code path.
@@ -53,7 +54,12 @@ class ChainComplexSpec:
     """A finite chain complex of coordinate spaces with exact differentials."""
 
     def __init__(self, dims_top_down, differentials_top_down):
-        dims = [int(d) for d in dims_top_down]
+        dims = list(dims_top_down)
+        for d in dims:
+            if not isinstance(d, int):
+                raise TypeError(f"a dimension must be an int, not {d!r}")
+            if d < 0:
+                raise DomainError(f"negative dimension {d}")
         diffs = list(differentials_top_down)
         if len(diffs) != max(len(dims) - 1, 0):
             raise DomainError("need exactly one differential per adjacent pair")
@@ -98,15 +104,14 @@ class ChainComplexSpec:
                                  self.differential(k + 1))
 
 
-class BasedExactSequence:
-    """An exact complex together with an ordered basis for each space."""
+class BasedExactSequence(ChainComplexSpec):
+    """An exact complex with an ordered basis per space, given top down."""
 
-    def __init__(self, complex_spec: ChainComplexSpec, bases=None):
-        self.complex = complex_spec
-        n = complex_spec.length
+    def __init__(self, dims_top_down, differentials_top_down, bases=None):
+        super().__init__(dims_top_down, differentials_top_down)
+        n = self.length
         for k in range(n + 1):
-            rk = complex_spec.rank(k) + complex_spec.rank(k + 1)
-            if rk != complex_spec.dim(k):
+            if self.rank(k) + self.rank(k + 1) != self.dim(k):
                 raise DomainError("sequence not exact")
         if bases is not None:
             bases = list(bases)
@@ -114,15 +119,11 @@ class BasedExactSequence:
                 raise DomainError("need one basis per space")
             bases = list(reversed(bases))  # store by degree
             for k, g in enumerate(bases):
-                if g.rows != complex_spec.dim(k) or g.cols != complex_spec.dim(k):
+                if g.rows != self.dim(k) or g.cols != self.dim(k):
                     raise DomainError("basis shape mismatch")
                 if g.rank() != g.rows:
                     raise DomainError("singular change of basis")
         self._bases = bases
-
-    @property
-    def length(self) -> int:
-        return self.complex.length
 
     def basis(self, k: int):
         if self._bases is None:
@@ -133,9 +134,9 @@ class BasedExactSequence:
         """The first 16 hex digits of the SHA-256 of the dims by degree and
         each basis's entry texts, top degree first (identity when unbased)."""
         digest = sha256()
-        digest.update(repr(self.complex.dims_by_degree).encode())
+        digest.update(repr(self._dims).encode())
         for k in range(self.length, -1, -1):
-            g = self.basis(k) or ExactMatrix.identity(self.complex.dim(k))
+            g = self.basis(k) or ExactMatrix.identity(self.dim(k))
             digest.update(";".join(e.to_text() for e in g.entries).encode())
         return digest.hexdigest()[:16]
 
@@ -143,18 +144,15 @@ class BasedExactSequence:
 def torsion_scalar(seq: BasedExactSequence) -> QiScalar:
     """Torsion of a based exact sequence, per the conventions above: a
     nonzero scalar (a vanishing factor is an internal error)."""
-    cpx = seq.complex
-    n = cpx.length
+    n = seq.length
     selections = {0: [], n + 1: []}
     for k in range(1, n + 1):
-        selections[k] = list(cpx.differential(k).rref().pivots)
+        selections[k] = list(seq.differential(k).rref().pivots)
     value = ONE
     for k in range(n, -1, -1):
-        d_up = cpx.differential(k + 1)
+        d_up = seq.differential(k + 1)
         cols, own = selections[k + 1], selections[k]
         r, s = len(cols), len(own)
-        if r + s != cpx.dim(k):
-            raise RuntimeError("internal: torsion block is not square")
         if not r:
             c = ONE
         elif not s and cols == list(range(d_up.cols)):

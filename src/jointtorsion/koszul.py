@@ -114,7 +114,7 @@ class QuadHomology:
 
 def _as_based_sequence(dims_top_down, diffs_top_down) -> BasedExactSequence:
     try:
-        return BasedExactSequence(ChainComplexSpec(dims_top_down, diffs_top_down))
+        return BasedExactSequence(dims_top_down, diffs_top_down)
     except DomainError as exc:
         raise RuntimeError(f"internal: constructed sequence invalid ({exc})") from exc
 
@@ -254,18 +254,15 @@ def graded_determinant(seq: BasedExactSequence) -> QiScalar:
     the torsion scalar of the sequence (any algebraic pseudoinverse gives
     the same value).
     """
-    cpx = seq.complex
-    n = cpx.length
+    n = seq.length
     offset, size = {}, [0, 0]
     for k in range(n, -1, -1):
         offset[k] = size[(n - k) % 2]
-        size[(n - k) % 2] += cpx.dim(k)
-    if size[0] != size[1]:
-        raise DomainError("sequence not exact")
-    m = size[0]
+        size[(n - k) % 2] += seq.dim(k)
+    m = size[0]  # = size[1]: an exact sequence's alternating dims sum to 0
     grids = ([ZERO] * (m * m), [ZERO] * (m * m))  # D_+, D_-
     for k in range(n, 0, -1):
-        d = cpx.differential(k)
+        d = seq.differential(k)
         if seq.basis(k) is not None:
             d = seq.basis(k - 1).inverse() * d * seq.basis(k)
         grid, r0, c0 = grids[(n - k) % 2], offset[k - 1], offset[k]
@@ -286,9 +283,8 @@ def _rank_parity_correction(seq: BasedExactSequence) -> int:
     a_1 the exponent is a_{n-1} (a_n + a_1 + 1); it vanishes on two-term
     sequences and on sequences whose second-from-top space is zero.
     """
-    cpx = seq.complex
-    n = cpx.length
-    return cpx.rank(n - 1) * (cpx.rank(n) + cpx.rank(1) + 1)
+    n = seq.length
+    return seq.rank(n - 1) * (seq.rank(n) + seq.rank(1) + 1)
 
 
 def pseudoinv_formula(eps_a: BasedExactSequence, eps_b: BasedExactSequence,

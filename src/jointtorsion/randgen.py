@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import BasedExactSequence, ChainComplexSpec, sha256
+from .complexes import BasedExactSequence, sha256
 from .koszul import KoszulQuadruple
 from .linalg import ExactMatrix
 from .scalars import QiScalar, _reduced, qi_modulus_cmp_one
@@ -162,5 +162,4 @@ def random_exact_sequence(rng: random.Random, max_len: int = 5,
             ent[(ranks[k - 1] + i) * dims[k] + i] = QiScalar(1)
         model = ExactMatrix(dims[k - 1], dims[k], ent)
         diffs_top_down.append(transforms[k - 1] * model * transforms[k].inverse())
-    return BasedExactSequence(ChainComplexSpec(list(reversed(dims)),
-                                               diffs_top_down))
+    return BasedExactSequence(list(reversed(dims)), diffs_top_down)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 
 from .cli import quad_request, toeplitz_exact_request, verify_request
-from .complexes import BasedExactSequence, ChainComplexSpec, torsion_scalar
+from .complexes import BasedExactSequence, torsion_scalar
 from .errors import DomainError
 from .koszul import (FACTORIZATION_SELECTORS, KoszulQuadruple,
                      build_eps_sequences, factorization_identities,
@@ -39,7 +39,7 @@ def _suite_finite_triviality(rng, index, family=random_quadruple):
 def _suite_torsion_determinant(rng, index):
     n = rng.randint(1, 8)
     m = random_invertible(rng, n, mag=3)
-    seq = BasedExactSequence(ChainComplexSpec([n, n], [m]))
+    seq = BasedExactSequence([n, n], [m])
     return [("two-term torsion equals determinant",
              torsion_scalar(seq) == m.determinant(), None)]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .complexes import BasedExactSequence, ChainComplexSpec
+from .complexes import BasedExactSequence
 from .errors import DomainError
 from .linalg import ExactMatrix
 from .scalars import ONE, ZERO, QiScalar, qi_modulus_cmp_one
@@ -145,6 +145,6 @@ def restriction_sequences(data):
         dims = [0, 0, 0, 0, m, m, 0]
         diffs = [zero(0, 0), zero(0, 0), zero(0, 0), zero(m, 0),
                  action, zero(0, m)]
-        return BasedExactSequence(ChainComplexSpec(dims, diffs))
+        return BasedExactSequence(dims, diffs)
 
     return sequence(a_on_coker_b), sequence(b_on_coker_a)

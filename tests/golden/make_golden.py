@@ -85,7 +85,7 @@ def _homology_bases(family, dim):
 def _torsion_response(index):
     """A random exact sequence; odd instances also carry random bases."""
     rng = child_rng(_SEED, index)
-    cpx = random_exact_sequence(rng, max_len=5, max_rank=3).complex
+    cpx = random_exact_sequence(rng, max_len=5, max_rank=3)
     spaces = cpx.dims_by_degree[::-1]
     payload = {"spaces": spaces,
                "differentials": [_entries(cpx.differential(k))

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/golden/replay.py
 
 Each line of ``requests.jsonl`` runs as its own ``python -m jointtorsion``
-process, and its stdout bytes and exit code must equal the stored ones.
+process, its stdout bytes and exit code must equal the stored ones, and it
+must write nothing to stderr (no warning, no traceback).
 ``tests/test_golden.py`` replays the same lines in one process, after the
 tests have imported every module; this script is what catches a failure
 that shows only in a clean interpreter, such as an import cycle between
@@ -27,8 +28,8 @@ def main() -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "jointtorsion", *case["argv"]],
             input=case["stdin"].encode(), capture_output=True)
-        if (proc.stdout, proc.returncode) != (case["stdout"].encode(),
-                                              case["exit"]):
+        if (proc.stdout, proc.returncode, proc.stderr) != (
+                case["stdout"].encode(), case["exit"], b""):
             failed += 1
             print(f"{case['name']}: exit {proc.returncode}, expected "
                   f"{case['exit']}\n  stdout: {proc.stdout[:300]!r}\n"

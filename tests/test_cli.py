@@ -607,6 +607,35 @@ def test_nesting_over_the_recursion_limit_exits_3(text, monkeypatch, capsys):
     assert out["error"].startswith("parse error: maximum recursion depth")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"cmd": "torsion", "cmd": "verify", '
+     '"payload": {"suite": "steinberg", "count": 1}}', "cmd"),
+    ('{"cmd": "torsion", "payload": {"spaces": [1, 1], "spaces": [0, 0], '
+     '"differentials": [["1"]]}}', "spaces"),
+    ('{"cmd": "toeplitz_exact", "payload": {"f": {"leading": "1", '
+     '"leading": "2", "roots": []}, "g": {"leading": "1", "roots": []}}}',
+     "leading"),
+], ids=["cmd", "payload.spaces", "symbol.leading"])
+def test_duplicate_key_exits_3(text, key, monkeypatch, capsys):
+    # json.loads alone would keep the last value and run that request
+    assert main_with_stdin(text, monkeypatch, capsys) == (
+        3, {"error": f"parse error: duplicate key {key!r}"})
+
+
+@pytest.mark.parametrize("timing", [1, "true", []])
+def test_timing_that_is_not_a_boolean_exits_3(timing, monkeypatch, capsys):
+    text = json.dumps(dict(ZERO_QUAD, timing=timing))
+    assert main_with_stdin(text, monkeypatch, capsys) == (
+        3, {"error": "$.timing: expected a boolean"})
+
+
+def test_null_timing_reads_as_absent(monkeypatch, capsys):
+    text = json.dumps(dict(ZERO_QUAD, timing=None))
+    code, out = main_with_stdin(text, monkeypatch, capsys)
+    assert code == 0
+    assert out == run_request(ZERO_QUAD)
+
+
 def test_result_part_over_the_digit_limit_exits_2(monkeypatch, capsys):
     # each entry parses, but the determinant has about twice its digits
     limit = sys.get_int_max_str_digits()

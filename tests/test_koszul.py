@@ -61,15 +61,15 @@ def test_quad_matches_koszul_for_commuting_pair():
 def test_eps_dims_for_zero_quadruple():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
     eps_ad, eps_bc = build_eps_sequences(q)
-    assert eps_ad.complex.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
-    assert eps_bc.complex.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
+    assert eps_ad.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
+    assert eps_bc.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
 
 
 def test_eps_all_zero_for_invertible_quadruple():
     q = KoszulQuadruple(ONE1, ONE1, ONE1, ONE1)
     eps_ad, eps_bc = build_eps_sequences(q)
-    assert all(d == 0 for d in eps_ad.complex.dims_by_degree)
-    assert all(d == 0 for d in eps_bc.complex.dims_by_degree)
+    assert all(d == 0 for d in eps_ad.dims_by_degree)
+    assert all(d == 0 for d in eps_bc.dims_by_degree)
 
 
 def test_eps_recovers_commuting_pair_sequences():
@@ -78,13 +78,13 @@ def test_eps_recovers_commuting_pair_sequences():
     q = KoszulQuadruple(a, b, b, a)
     eps_ad, eps_bc = build_eps_sequences(q)
     # spaces: H2, ker B, ker B, H1, coker B, coker B, H0 (and with A swapped in)
-    assert eps_ad.complex.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
-    assert eps_bc.complex.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
+    assert eps_ad.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
+    assert eps_bc.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
     # the middle isomorphisms are multiplication by the eigenvalues 2 and 3
-    assert eps_ad.complex.differential(5) == mat([[2]])
-    assert eps_ad.complex.differential(2) == mat([[2]])
-    assert eps_bc.complex.differential(5) == mat([[3]])
-    assert eps_bc.complex.differential(2) == mat([[3]])
+    assert eps_ad.differential(5) == mat([[2]])
+    assert eps_ad.differential(2) == mat([[2]])
+    assert eps_bc.differential(5) == mat([[3]])
+    assert eps_bc.differential(2) == mat([[3]])
 
 
 # -- perturbation scalars ----------------------------------------------------
@@ -257,20 +257,22 @@ def test_graded_determinant_pseudoinverse_choice_irrelevant():
     for _ in range(10):
         seq = random_exact_sequence(rng, max_len=4, max_rank=2)
         n = seq.length
-        gs = [random_invertible(rng, seq.complex.dim(k), mag=2)
-              if seq.complex.dim(k) else ExactMatrix.identity(0)
+        gs = [random_invertible(rng, seq.dim(k), mag=2)
+              if seq.dim(k) else ExactMatrix.identity(0)
               for k in range(n, -1, -1)]
-        rebased = BasedExactSequence(seq.complex, gs)
+        rebased = BasedExactSequence(
+            seq.dims_by_degree[::-1],
+            [seq.differential(k) for k in range(n, 0, -1)], gs)
         assert graded_determinant(rebased) == torsion_scalar(rebased)
 
 
 def test_pseudoinv_formula_two_term_isomorphisms():
-    from jointtorsion import BasedExactSequence, ChainComplexSpec
+    from jointtorsion import BasedExactSequence
 
     phi_a = mat([[2, 1], [1, 1]])
     phi_b = mat([[3]])
-    eps_a = BasedExactSequence(ChainComplexSpec([2, 2], [phi_a]))
-    eps_b = BasedExactSequence(ChainComplexSpec([1, 1], [phi_b]))
+    eps_a = BasedExactSequence([2, 2], [phi_a])
+    eps_b = BasedExactSequence([1, 1], [phi_b])
     value = pseudoinv_formula(eps_a, eps_b, 0, 0)
     assert value == phi_b.determinant().inverse() * phi_a.determinant()
 
