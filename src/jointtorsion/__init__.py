@@ -41,7 +41,6 @@ _SUBMODULE = {
     "pseudoinv_formula": "koszul",
     "qi_modulus_cmp_one": "scalars",
     "QiScalar": "scalars",
-    "restriction_data": "toeplitz",
     "restriction_sequences": "toeplitz",
     "tame_symbol": "toeplitz",
     "toeplitz_joint_torsion": "toeplitz",

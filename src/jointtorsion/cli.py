@@ -338,10 +338,11 @@ def _koszul_response(report) -> dict:
 
 
 def _handle_toeplitz_exact(payload: dict, seed: int) -> dict:
-    from .toeplitz import restriction_data, tame_symbol, toeplitz_joint_torsion
+    from .toeplitz import (restriction_sequences, tame_symbol,
+                           toeplitz_joint_torsion)
 
     f, g = (_need(payload, key, "$.payload", _symbol, key) for key in "fg")
-    value = toeplitz_joint_torsion(restriction_data(f, g))
+    value = toeplitz_joint_torsion(*restriction_sequences(f, g))
     return {"value": value.to_text(),
             "report": {"tame_symbol": tame_symbol(f, g).to_text(),
                        "winding_f": f.winding, "winding_g": g.winding}}

@@ -76,7 +76,12 @@ class ChainComplexSpec:
             if not (self._diffs[k - 1] * self._diffs[k]).is_zero():
                 raise DomainError("differentials do not compose to zero")
 
+    def _check_degree(self, k: int, top: int) -> None:
+        if not 0 <= k <= top:
+            raise DomainError(f"degree {k} out of range")
+
     def dim(self, k: int) -> int:
+        self._check_degree(k, self.length)
         return self._dims[k]
 
     @property
@@ -85,6 +90,7 @@ class ChainComplexSpec:
 
     def differential(self, k: int) -> ExactMatrix:
         """d_k for 0 <= k <= n+1, with zero-shaped maps at the ends."""
+        self._check_degree(k, self.length + 1)
         if k == 0:
             return ExactMatrix.zero(0, self._dims[0])
         if k == self.length + 1:
@@ -98,8 +104,7 @@ class ChainComplexSpec:
 
     def homology(self, k: int) -> Subquotient:
         """H_k as a based subquotient: ker d_k over im d_{k+1}."""
-        if not 0 <= k <= self.length:
-            raise DomainError(f"degree {k} out of range")
+        self._check_degree(k, self.length)
         return build_subquotient(self.differential(k),
                                  self.differential(k + 1))
 
@@ -126,6 +131,7 @@ class BasedExactSequence(ChainComplexSpec):
         self._bases = bases
 
     def basis(self, k: int):
+        self._check_degree(k, self.length)
         if self._bases is None:
             return None
         return self._bases[k]

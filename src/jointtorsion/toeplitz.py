@@ -11,16 +11,16 @@ builds.  The determinant of that action is the product of the symbol's
 values at the inside roots, which is what makes the closed-form tame symbol
 an independent oracle for the matrix-model joint torsion.
 
-``restriction_data`` builds the two cokernel actions of a pair once, as the
-pair (g on coker f, f on coker g); ``toeplitz_joint_torsion`` and
-``restriction_sequences`` both read it.
+``restriction_sequences`` builds a pair's two cokernel actions once, as
+two-term based exact sequences; the joint torsion is the ratio of their
+torsions, as ``pseudoinv_formula`` is that of their folded determinants.
 """
 
 from __future__ import annotations
 
 from math import lcm, prod
 
-from .complexes import BasedExactSequence
+from .complexes import BasedExactSequence, torsion_scalar
 from .errors import DomainError
 from .linalg import ExactMatrix
 from .scalars import ONE, ZERO, QiScalar, qi_modulus_cmp_one
@@ -99,29 +99,27 @@ def _check_acyclic(f: AnalyticSymbol, g: AnalyticSymbol) -> None:
         raise DomainError("Koszul complex not acyclic")
 
 
-def restriction_data(f: AnalyticSymbol, g: AnalyticSymbol):
-    """The cokernel blocks of the commuting pair (A, B) = (T_f, T_g), on the
-    finite models: the pair (B on coker A, A on coker B).  Both operators
-    are injective, so these are the only blocks that are not empty."""
+def restriction_sequences(f: AnalyticSymbol, g: AnalyticSymbol):
+    """The two-term based exact sequences (eps_f, eps_g) of the commuting
+    pair (T_f, T_g): C[z]/(g_in) --f--> C[z]/(g_in) and C[z]/(f_in) --g-->
+    C[z]/(f_in).  Both operators are injective, so these cokernel blocks are
+    all that is not empty in the pair's two eight-term sequences."""
     _check_acyclic(f, g)
-    return coker_action(f, g), coker_action(g, f)
-
-
-def toeplitz_joint_torsion(data) -> QiScalar:
-    """Joint torsion of the commuting Toeplitz pair (T_f, T_g), from its
-    ``restriction_data``.
-
-    Both operators are injective, so only the cokernel blocks contribute:
-
-        det(g on C[z]/(f_in))^(-1) * det(f on C[z]/(g_in)).
-    """
-    b_on_coker_a, a_on_coker_b = data
-    det_g = b_on_coker_a.determinant()
-    det_f = a_on_coker_b.determinant()
-    if det_g.is_zero() or det_f.is_zero():
+    actions = coker_action(g, f), coker_action(f, g)
+    try:
+        return tuple(BasedExactSequence([a.rows, a.rows], [a])
+                     for a in actions)
+    except DomainError as exc:
         raise RuntimeError("internal: cokernel action singular despite "
-                           "disjoint inside roots")
-    return det_g.inverse() * det_f
+                           "disjoint inside roots") from exc
+
+
+def toeplitz_joint_torsion(eps_f: BasedExactSequence,
+                           eps_g: BasedExactSequence) -> QiScalar:
+    """Joint torsion of the commuting Toeplitz pair (T_f, T_g) from its
+    ``restriction_sequences``, as the ratio of their torsions
+    det(f on C[z]/(g_in)) * det(g on C[z]/(f_in))^(-1)."""
+    return torsion_scalar(eps_f) * torsion_scalar(eps_g).inverse()
 
 
 def tame_symbol(f: AnalyticSymbol, g: AnalyticSymbol) -> QiScalar:
@@ -131,20 +129,3 @@ def tame_symbol(f: AnalyticSymbol, g: AnalyticSymbol) -> QiScalar:
     numerator = prod((f.evaluate(b) for b in g.inside_roots), start=ONE)
     denominator = prod((g.evaluate(a) for a in f.inside_roots), start=ONE)
     return numerator * denominator.inverse()
-
-
-def restriction_sequences(data):
-    """The two eight-term sequences of the pair whose ``restriction_data``
-    is data, degenerate except for the cokernel isomorphisms; inputs for the
-    folded-determinant formula."""
-    b_on_coker_a, a_on_coker_b = data
-    zero = ExactMatrix.zero
-
-    def sequence(action: ExactMatrix) -> BasedExactSequence:
-        m = action.rows
-        dims = [0, 0, 0, 0, m, m, 0]
-        diffs = [zero(0, 0), zero(0, 0), zero(0, 0), zero(m, 0),
-                 action, zero(0, m)]
-        return BasedExactSequence(dims, diffs)
-
-    return sequence(a_on_coker_b), sequence(b_on_coker_a)

@@ -30,9 +30,8 @@ from jointtorsion import cli
 from jointtorsion.koszul import QuadHomology
 from jointtorsion.randgen import (child_rng, random_commuting_pair,
                                   random_exact_sequence, random_invertible,
-                                  random_quadruple, random_singular_d_quadruple,
-                                  random_symbol)
-from jointtorsion.suites import SUITES, run_suite
+                                  random_quadruple, random_singular_d_quadruple)
+from jointtorsion.suites import SUITES, _disjoint_symbols, run_suite
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "requests.jsonl")
@@ -104,11 +103,7 @@ def _pair_response(dim):
 
 
 def _toeplitz_response(index):
-    rng = child_rng(_SEED, index)
-    while True:
-        f, g = random_symbol(rng), random_symbol(rng)
-        if not set(f.inside_roots) & set(g.inside_roots):
-            break
+    f, g = _disjoint_symbols(child_rng(_SEED, index))
     return _canonical(cli.run_request(cli.toeplitz_exact_request(f, g)))
 
 

@@ -775,11 +775,12 @@ def test_quad_request_replays_its_quadruple(family):
 
 def test_toeplitz_exact_request_replays_its_symbols():
     from jointtorsion.suites import _disjoint_symbols
-    from jointtorsion.toeplitz import restriction_data, toeplitz_joint_torsion
+    from jointtorsion.toeplitz import (restriction_sequences,
+                                       toeplitz_joint_torsion)
 
     for i in range(20):
         f, g = _disjoint_symbols(child_rng(26, i))
-        value = toeplitz_joint_torsion(restriction_data(f, g))
+        value = toeplitz_joint_torsion(*restriction_sequences(f, g))
         out = run_request(cli.toeplitz_exact_request(f, g))
         assert out["value"] == value.to_text()
 

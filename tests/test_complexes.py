@@ -71,6 +71,33 @@ def test_based_exact_sequence_is_its_own_complex():
     assert homology_dims(seq) == [0, 0, 0]
 
 
+def three_term(bases=None):
+    return BasedExactSequence([1, 2, 1], [mat([[1], [1]]), mat([[1, -1]])],
+                              bases)
+
+
+@pytest.mark.parametrize("call, k", [
+    ("dim", -1), ("dim", 3), ("differential", -1), ("differential", 4),
+    ("basis", -1), ("basis", 3), ("homology", -1), ("homology", 3)])
+@pytest.mark.parametrize("based", [False, True])
+def test_degree_out_of_range_is_rejected(call, k, based):
+    # a negative degree must not wrap to the top of the stored lists
+    seq = three_term([ExactMatrix.identity(n) for n in (1, 2, 1)]
+                     if based else None)
+    with pytest.raises(DomainError, match=f"^degree {k} out of range$"):
+        getattr(seq, call)(k)
+
+
+def test_degree_range_ends_are_served():
+    seq = three_term()
+    assert [seq.dim(k) for k in range(3)] == [1, 2, 1]
+    assert (seq.differential(0).rows, seq.differential(0).cols) == (0, 1)
+    assert (seq.differential(3).rows, seq.differential(3).cols) == (1, 0)
+    assert seq.basis(0) is None and seq.basis(2) is None
+    # rank stays 0 outside 1..n: the folded-determinant sign reads rank(0)
+    assert [seq.rank(k) for k in (-1, 0, 1, 2, 3)] == [0, 0, 1, 1, 0]
+
+
 def test_homology_of_short_exact_three_term():
     c = ChainComplexSpec([1, 2, 1], [mat([[1], [0]]), mat([[0, 1]])])
     assert homology_dims(c) == [0, 0, 0]

@@ -1,18 +1,20 @@
 """Exact Toeplitz layer: symbol classification, cokernel models, joint
 torsion versus the tame-symbol oracle, and the Steinberg relations."""
 
+import io
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from jointtorsion import (AnalyticSymbol, DomainError, ExactMatrix, QiScalar,
-                          coker_action, joint_torsion_pair, pseudoinv_formula,
-                          qi_modulus_cmp_one, restriction_data,
-                          restriction_sequences, tame_symbol,
-                          toeplitz_joint_torsion)
+from jointtorsion import (AnalyticSymbol, BasedExactSequence, DomainError,
+                          ExactMatrix, QiScalar, coker_action, joint_torsion_pair, pseudoinv_formula,
+                          qi_modulus_cmp_one, restriction_sequences,
+                          tame_symbol, toeplitz_joint_torsion, torsion_scalar)
 from jointtorsion import linalg
 from jointtorsion.randgen import child_rng, random_symbol
-from jointtorsion.suites import run_suite
+from jointtorsion.suites import _disjoint_symbols, run_suite
 
 
 def sym(leading, roots):
@@ -135,13 +137,15 @@ def test_coker_actions_commute():
 def test_joint_torsion_examples():
     f = sym(1, [QiScalar(1, 0, 2)])
     g = sym(1, [QiScalar(1, 0, 3)])
-    assert toeplitz_joint_torsion(restriction_data(f, g)) == QiScalar(-1)
+    assert (toeplitz_joint_torsion(*restriction_sequences(f, g))
+            == QiScalar(-1))
     g_out = sym(1, [QiScalar(2)])
-    assert (toeplitz_joint_torsion(restriction_data(f, g_out))
+    assert (toeplitz_joint_torsion(*restriction_sequences(f, g_out))
             == QiScalar(-2, 0, 3))
     f2 = sym(2, [QiScalar(0)])            # 2z
     g2 = sym(-2, [QiScalar(1, 0, 2)])     # 1 - 2z
-    assert toeplitz_joint_torsion(restriction_data(f2, g2)) == QiScalar(1)
+    assert (toeplitz_joint_torsion(*restriction_sequences(f2, g2))
+            == QiScalar(1))
 
 
 def test_tame_symbol_examples():
@@ -161,7 +165,7 @@ def test_common_inside_root_rejected():
     f = sym(1, [QiScalar(1, 0, 2)])
     g = sym(3, [QiScalar(1, 0, 2), QiScalar(5)])
     with pytest.raises(DomainError, match="not acyclic"):
-        toeplitz_joint_torsion(restriction_data(f, g))
+        toeplitz_joint_torsion(*restriction_sequences(f, g))
     with pytest.raises(DomainError, match="not acyclic"):
         tame_symbol(f, g)
 
@@ -174,7 +178,7 @@ def test_joint_torsion_equals_tame_symbol():
         g = random_symbol(rng, max_roots=3)
         if set(f.inside_roots) & set(g.inside_roots):
             continue
-        assert (toeplitz_joint_torsion(restriction_data(f, g))
+        assert (toeplitz_joint_torsion(*restriction_sequences(f, g))
                 == tame_symbol(f, g))
         checked += 1
 
@@ -224,7 +228,7 @@ def test_steinberg_one_minus_a():
 def test_pseudoinv_formula_on_toeplitz_models():
     f = sym(1, [QiScalar(1, 0, 2)])
     g = sym(1, [QiScalar(1, 0, 3)])
-    eps_f, eps_g = restriction_sequences(restriction_data(f, g))
+    eps_f, eps_g = restriction_sequences(f, g)
     assert pseudoinv_formula(eps_f, eps_g, 0, 0) == QiScalar(-1)
     rng = child_rng(23, 6)
     checked = 0
@@ -233,11 +237,64 @@ def test_pseudoinv_formula_on_toeplitz_models():
         g = random_symbol(rng, max_roots=3)
         if set(f.inside_roots) & set(g.inside_roots):
             continue
-        data = restriction_data(f, g)
-        eps_f, eps_g = restriction_sequences(data)
+        eps_f, eps_g = restriction_sequences(f, g)
         assert (pseudoinv_formula(eps_f, eps_g, 0, 0)
-                == toeplitz_joint_torsion(data))
+                == toeplitz_joint_torsion(eps_f, eps_g))
         checked += 1
+
+
+def padded_restriction_sequences(f, g):
+    """The pair's cokernel actions in the seven-space shape of its
+    eight-term sequences, 0 -> 0 -> 0 -> 0 -> m -> m -> 0 with the action
+    at degree 2 and every other map empty, built from fresh actions."""
+    zero = ExactMatrix.zero
+
+    def padded(action):
+        m = action.rows
+        return BasedExactSequence(
+            [0, 0, 0, 0, m, m, 0],
+            [zero(0, 0), zero(0, 0), zero(0, 0), zero(m, 0), action,
+             zero(0, m)])
+
+    return padded(coker_action(g, f)), padded(coker_action(f, g))
+
+
+def test_two_term_restriction_sequences_match_the_padded_shape():
+    # The one nonzero block sits at degree 1 of 1 and at degree 2 of 6:
+    # an even distance from the top in both, so both torsions read its
+    # determinant with the same exponent and both foldings put it in D_+.
+    rng = child_rng(23, 8)
+    rootless = 0
+    for _ in range(200):
+        f, g = _disjoint_symbols(rng)
+        rootless += not (f.roots and g.roots)
+        eps = restriction_sequences(f, g)
+        padded = padded_restriction_sequences(f, g)
+        assert [seq.length for seq in eps] == [1, 1]
+        for seq, reference in zip(eps, padded):
+            assert torsion_scalar(seq) == torsion_scalar(reference)
+        assert (pseudoinv_formula(*eps, 0, 0)
+                == pseudoinv_formula(*padded, 0, 0))
+    assert rootless
+
+
+def test_singular_cokernel_action_is_an_internal_error(monkeypatch, capsys):
+    # disjoint inside roots make every action invertible, so a singular one
+    # is a broken theorem: an internal error (exit 4), not a domain error
+    from jointtorsion import cli, toeplitz
+
+    monkeypatch.setattr(toeplitz, "coker_action",
+                        lambda f, g: ExactMatrix.zero(f.winding, f.winding))
+    f = sym(1, [QiScalar(1, 0, 2)])
+    g = sym(1, [QiScalar(1, 0, 3)])
+    message = "internal: cokernel action singular despite disjoint inside roots"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        restriction_sequences(f, g)
+    request = json.dumps(cli.toeplitz_exact_request(f, g))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(request))
+    assert cli.main([]) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"RuntimeError: {message}"}
 
 
 def test_finite_pair_from_cokernel_models_is_consistent():
@@ -251,11 +308,10 @@ def test_finite_pair_from_cokernel_models_is_consistent():
 
 
 def test_tame_oracle_instance_makes_at_most_three_eliminations(monkeypatch):
-    # Each cokernel action is built once, so the joint torsion's determinant
-    # and the restriction sequences' rank share its one forward pass, and
-    # the empty blocks of the eight-term sequences are not eliminated.
-    # Building the actions twice and eliminating every empty block took 16.8
-    # per instance.
+    # Each cokernel action is built once, so its restriction sequence's
+    # exactness check, torsion and folded determinant share its one forward
+    # pass, and empty matrices are never eliminated.  Building the actions
+    # twice and eliminating every empty block took 16.8 per instance.
     calls = []
     kernel = linalg._fraction_free
 
@@ -267,3 +323,23 @@ def test_tame_oracle_instance_makes_at_most_three_eliminations(monkeypatch):
     summary = run_suite("tame-oracle", 7, 64)
     assert summary["passes"] == 64
     assert len(calls) <= 3 * 64
+
+
+def test_tame_oracle_instance_builds_at_most_six_rref_results(monkeypatch):
+    # Two two-term sequences of one action each: one forward pass per
+    # action, and per sequence one for the zero D_- block's pseudoinverse
+    # and one for the folded sum.  The padded eight-term sequences built
+    # 16 per instance, 10 of them for empty blocks.
+    built = []
+
+    class Counted(linalg.RrefResult):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "RrefResult", Counted)
+    summary = run_suite("tame-oracle", 7, 64)
+    assert summary["passes"] == 64
+    assert len(built) <= 6 * 64
