@@ -14,8 +14,14 @@ cases draw their inputs from the package's own ``randgen`` and reach past
 the corpus: quadruples up to dim 12, the bases every homology space keeps,
 and suite summaries at count 30.  All of them are exact.
 
-Rewrite both files only when a change alters output on purpose, and say so
-in CHANGES.md: ``tests/test_golden.py`` holds the tree to these bytes.
+Last it writes ``large.jsonl``, the same kind of line for ``LARGE_CASES``:
+quadruples of both families at dims 16 and 20, each with every homology
+space's bases, and the 12-root cap ``toeplitz_exact`` request.  These take
+about 10 s together, so ``large.py`` checks them outside the test suite.
+
+Rewrite the files only when a change alters output on purpose, and say so
+in CHANGES.md: ``tests/test_golden.py`` and ``large.py`` hold the tree to
+these bytes.
 """
 
 import contextlib
@@ -36,6 +42,7 @@ from jointtorsion.suites import SUITES, _disjoint_symbols, run_suite
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "requests.jsonl")
 DIGESTS = os.path.join(HERE, "digests.jsonl")
+LARGE = os.path.join(HERE, "large.jsonl")
 
 # Instance i of every randgen case draws from child_rng(_SEED, i).
 _SEED = 1
@@ -107,16 +114,28 @@ def _toeplitz_response(index):
     return _canonical(cli.run_request(cli.toeplitz_exact_request(f, g)))
 
 
-def _cap_shape_response():
-    """toeplitz_exact with 8 roots 1/p+1/qi in each symbol, on 32 distinct
-    3-digit primes: the shape of request that sets the symbol caps."""
+def _cap_shape_response(each=8):
+    """toeplitz_exact with ``each`` roots 1/p+1/qi in each symbol, on
+    4 * ``each`` distinct 3-digit primes: the shape of request that sets the
+    symbol caps, which it reaches at 12."""
     primes = [p for p in range(101, 1000)
-              if all(p % k for k in range(2, int(p ** 0.5) + 1))][:32]
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))][:4 * each]
     roots = [f"1/{p}+1/{q}i" for p, q in zip(primes[::2], primes[1::2])]
     return _canonical(cli.run_request(
         {"cmd": "toeplitz_exact",
-         "payload": {"f": {"leading": "2", "roots": roots[:8]},
-                     "g": {"leading": "3", "roots": roots[8:]}}}))
+         "payload": {"f": {"leading": "2", "roots": roots[:each]},
+                     "g": {"leading": "3", "roots": roots[each:]}}}))
+
+
+def _quad_with_bases(family, dim):
+    """The response and every homology space's bases of one quadruple,
+    drawn from child_rng(_SEED, 0)."""
+    q = family(child_rng(_SEED, 0), dim)
+    spaces = QuadHomology(q).spaces
+    return _canonical({
+        "response": cli.run_request(cli.quad_request(q)),
+        "homology": {label: [_shaped(sq.rep_basis), _shaped(sq.project_map)]
+                     for label, sq in spaces.items()}})
 
 
 def _suite_summary(name, seed):
@@ -146,12 +165,34 @@ def _digest_cases() -> dict:
     return cases
 
 
+def _large_cases() -> dict:
+    cases = {}
+    for family_name, family in (("invertible-d", random_quadruple),
+                                ("singular-d", random_singular_d_quadruple)):
+        for dim in (16, 20):
+            cases[f"quad-{family_name}-dim{dim}"] = partial(
+                _quad_with_bases, family, dim)
+    cases["toeplitz-exact-cap-shape-12-roots"] = partial(
+        _cap_shape_response, 12)
+    return cases
+
+
 DIGEST_CASES = _digest_cases()
+LARGE_CASES = _large_cases()
 
 
-def digest(name: str) -> str:
+def digest(name: str, cases=DIGEST_CASES) -> str:
     """The SHA-256 hex digest of case ``name``'s canonical output."""
-    return hashlib.sha256(DIGEST_CASES[name]().encode()).hexdigest()
+    return hashlib.sha256(cases[name]().encode()).hexdigest()
+
+
+def _write_digests(path, cases) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for name in cases:
+            fh.write(json.dumps({"name": name,
+                                 "sha256": digest(name, cases)},
+                                sort_keys=True) + "\n")
+    print(f"wrote {len(cases)} digests to {path}")
 
 
 def main() -> int:
@@ -162,11 +203,8 @@ def main() -> int:
             case["stdout"], case["exit"] = replay(case["argv"], case["stdin"])
             fh.write(json.dumps(case, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {CORPUS}")
-    with open(DIGESTS, "w", encoding="utf-8") as fh:
-        for name in DIGEST_CASES:
-            fh.write(json.dumps({"name": name, "sha256": digest(name)},
-                                sort_keys=True) + "\n")
-    print(f"wrote {len(DIGEST_CASES)} digests to {DIGESTS}")
+    _write_digests(DIGESTS, DIGEST_CASES)
+    _write_digests(LARGE, LARGE_CASES)
     return 0
 
 
