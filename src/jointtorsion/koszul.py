@@ -250,9 +250,9 @@ def graded_determinant(seq: BasedExactSequence) -> QiScalar:
     Spaces at even distance from the top form the source, the others the
     target, each ordered by decreasing degree.  D_+ collects differentials
     leaving the source, D_- those leaving the target, and the dagger is the
-    algebraic pseudoinverse.  With these conventions the determinant equals
-    the torsion scalar of the sequence (any algebraic pseudoinverse gives
-    the same value).
+    algebraic pseudoinverse.  D_- enters only when a differential lands in
+    it (n >= 2).  The determinant equals the torsion scalar of the sequence,
+    whichever algebraic pseudoinverse is taken.
     """
     n = seq.length
     offset, size = {}, [0, 0]
@@ -269,8 +269,10 @@ def graded_determinant(seq: BasedExactSequence) -> QiScalar:
         for i in range(d.rows):
             start = (r0 + i) * m + c0
             grid[start:start + d.cols] = d.row(i)
-    d_plus, d_minus = (ExactMatrix(m, m, grid) for grid in grids)
-    det = (d_plus + d_minus.pseudoinverse()).determinant()
+    folded = ExactMatrix(m, m, grids[0])
+    if n >= 2:  # a differential lands in D_-
+        folded = folded + ExactMatrix(m, m, grids[1]).pseudoinverse()
+    det = folded.determinant()
     if det.is_zero():
         raise RuntimeError("internal: folded map is singular on an exact sequence")
     return det

@@ -5,11 +5,11 @@ An analytic symbol is a polynomial given by its leading coefficient and its
 exact Gaussian-rational roots, none of which may lie on the unit circle.
 The Toeplitz operator of such a symbol is injective, and its cokernel is
 modelled by the quotient ring C[z]/(f_in) where f_in is the monic product
-over the roots inside the disk; multiplication by another symbol acts on
-that quotient through the companion matrix of f_in, which ``coker_action``
-builds.  The determinant of that action is the product of the symbol's
-values at the inside roots, which is what makes the closed-form tame symbol
-an independent oracle for the matrix-model joint torsion.
+over the roots inside the disk; multiplication by another symbol g acts on
+that quotient, and ``coker_action`` computes its matrix by polynomial
+remainders.  The determinant of that action is the product of g's values
+at the inside roots, which is what makes the closed-form tame symbol an
+independent oracle for the matrix-model joint torsion.
 
 ``restriction_sequences`` builds a pair's two cokernel actions once, as
 two-term based exact sequences; the joint torsion is the ratio of their
@@ -73,25 +73,25 @@ def coker_action(f: AnalyticSymbol, g: AnalyticSymbol) -> ExactMatrix:
     coefficient and outside roots included) on C[z]/(f_in), the finite model
     of coker T_f, in the monomial basis 1, z, ..., z^(d-1).
 
-    Its determinant is the product of g over the inside roots of f, and
-    actions of different multipliers commute.
+    Column j is g z^j mod f_in: z^j times g's leading coefficient, times
+    (z - r) for each root r of g, where z h mod f_in shifts h up one degree
+    and subtracts its top coefficient times f_in.
     """
     d = f.winding
     coeffs = [ONE]  # of f_in, constant term first
     for root in f.inside_roots:
         coeffs = [low - root * c
                   for low, c in zip([ZERO] + coeffs, coeffs + [ZERO])]
-    # multiplication by z: ones on the subdiagonal, -c_i in the last column
-    ent = [ZERO] * (d * d)
-    for j in range(d - 1):
-        ent[(j + 1) * d + j] = ONE
-    for i in range(d):
-        ent[i * d + d - 1] = -coeffs[i]
-    z = ExactMatrix(d, d, ent)
-    result = ExactMatrix.identity(d).scale(g.leading)
-    for root in g.roots:
-        result = result * z - result.scale(root)
-    return result
+    columns = []
+    for j in range(d):
+        h = [ZERO] * d  # g z^j mod f_in, constant term first
+        h[j] = g.leading
+        for root in g.roots:
+            top = h[-1]
+            h = [low - root * c - top * fc
+                 for low, c, fc in zip([ZERO] + h, h, coeffs)]
+        columns.append(h)
+    return ExactMatrix(d, d, [h[i] for i in range(d) for h in columns])
 
 
 def _check_acyclic(f: AnalyticSymbol, g: AnalyticSymbol) -> None:

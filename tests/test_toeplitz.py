@@ -9,11 +9,12 @@ from fractions import Fraction
 import pytest
 
 from jointtorsion import (AnalyticSymbol, BasedExactSequence, DomainError,
-                          ExactMatrix, QiScalar, coker_action, joint_torsion_pair, pseudoinv_formula,
+                          ExactMatrix, QiScalar, coker_action, graded_determinant,
+                          joint_torsion_pair, pseudoinv_formula,
                           qi_modulus_cmp_one, restriction_sequences,
                           tame_symbol, toeplitz_joint_torsion, torsion_scalar)
 from jointtorsion import linalg
-from jointtorsion.randgen import child_rng, random_symbol
+from jointtorsion.randgen import child_rng, random_invertible, random_symbol
 from jointtorsion.suites import _disjoint_symbols, run_suite
 
 
@@ -79,6 +80,17 @@ def reference_coker_action(f, g):
     return result
 
 
+def cap_shape_symbols(each):
+    """f and g with ``each`` roots 1/p+1/qi, on 4 * ``each`` distinct 3-digit
+    primes, and leading coefficients 2 and 3: the shape of toeplitz_exact
+    request that sets the symbol caps, which it reaches at 12."""
+    primes = [p for p in range(101, 1000)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))][:4 * each]
+    roots = [QiScalar.parse(f"1/{p}+1/{q}i")
+             for p, q in zip(primes[::2], primes[1::2])]
+    return sym(2, roots[:each]), sym(3, roots[each:])
+
+
 def test_coker_action_equals_the_companion_chain():
     rng = child_rng(23, 7)
     windings = []
@@ -89,6 +101,27 @@ def test_coker_action_equals_the_companion_chain():
         assert coker_action(g, f) == reference_coker_action(g, f)
         windings += [f.winding, g.winding]
     assert {0, 1, 2, 3} <= set(windings)
+    # the pairs tame-oracle draws, 1,200 of them, and the cap shapes
+    pairs = [_disjoint_symbols(child_rng(seed, i))
+             for seed in (1, 2, 3) for i in range(400)]
+    pairs += [cap_shape_symbols(8), cap_shape_symbols(12)]
+    for f, g in pairs:
+        assert coker_action(f, g) == reference_coker_action(f, g)
+        assert coker_action(g, f) == reference_coker_action(g, f)
+    assert pairs[-1][0].winding == pairs[-1][1].winding == 12
+
+
+def test_coker_action_multiplies_no_matrices(monkeypatch):
+    f, g = cap_shape_symbols(4)
+    pairs = [(f, g), (g, f)] + [_disjoint_symbols(child_rng(23, i))
+                                for i in range(20)]
+    expected = [reference_coker_action(a, b) for a, b in pairs]
+
+    def refuse(self, other):
+        raise AssertionError("coker_action multiplied two matrices")
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    assert [coker_action(a, b) for a, b in pairs] == expected
 
 
 def test_roots_sort_by_real_then_imaginary_part():
@@ -278,6 +311,26 @@ def test_two_term_restriction_sequences_match_the_padded_shape():
     assert rootless
 
 
+def test_two_term_fold_calls_no_pseudoinverse(monkeypatch):
+    # no differential lands in D_- of a two-term sequence, so the fold is
+    # D_+ alone, based or not
+    rng = child_rng(23, 9)
+    seqs = []
+    for _ in range(20):
+        seqs += restriction_sequences(*_disjoint_symbols(rng))
+    for n in range(4):
+        seqs.append(BasedExactSequence(
+            [n, n], [random_invertible(rng, n, mag=3)],
+            [random_invertible(rng, n, mag=2) for _ in range(2)]))
+    expected = [torsion_scalar(seq) for seq in seqs]
+
+    def refuse(self):
+        raise AssertionError("a two-term fold took a pseudoinverse")
+
+    monkeypatch.setattr(ExactMatrix, "pseudoinverse", refuse)
+    assert [graded_determinant(seq) for seq in seqs] == expected
+
+
 def test_singular_cokernel_action_is_an_internal_error(monkeypatch, capsys):
     # disjoint inside roots make every action invertible, so a singular one
     # is a broken theorem: an internal error (exit 4), not a domain error
@@ -307,11 +360,13 @@ def test_finite_pair_from_cokernel_models_is_consistent():
     assert joint_torsion_pair(a, b).value == QiScalar(1)
 
 
-def test_tame_oracle_instance_makes_at_most_three_eliminations(monkeypatch):
+def test_tame_oracle_instance_makes_at_most_two_eliminations(monkeypatch):
     # Each cokernel action is built once, so its restriction sequence's
-    # exactness check, torsion and folded determinant share its one forward
-    # pass, and empty matrices are never eliminated.  Building the actions
-    # twice and eliminating every empty block took 16.8 per instance.
+    # exactness check and torsion share its one forward pass; the folded
+    # D_+ is its own matrix with its own pass, a two-term fold has no D_-
+    # to pseudoinvert, and empty matrices are never eliminated.  Building
+    # the actions twice and eliminating every empty block took 16.8 per
+    # instance, and pseudoinverting a zero D_- block 2.4.
     calls = []
     kernel = linalg._fraction_free
 
@@ -322,14 +377,14 @@ def test_tame_oracle_instance_makes_at_most_three_eliminations(monkeypatch):
     monkeypatch.setattr(linalg, "_fraction_free", counted)
     summary = run_suite("tame-oracle", 7, 64)
     assert summary["passes"] == 64
-    assert len(calls) <= 3 * 64
+    assert len(calls) <= 2 * 64
 
 
-def test_tame_oracle_instance_builds_at_most_six_rref_results(monkeypatch):
+def test_tame_oracle_instance_builds_at_most_four_rref_results(monkeypatch):
     # Two two-term sequences of one action each: one forward pass per
-    # action, and per sequence one for the zero D_- block's pseudoinverse
-    # and one for the folded sum.  The padded eight-term sequences built
-    # 16 per instance, 10 of them for empty blocks.
+    # action and one per folded D_+, which a two-term fold takes alone.
+    # The padded eight-term sequences built 16 per instance, 10 of them for
+    # empty blocks, and pseudoinverting a zero D_- block built 6.
     built = []
 
     class Counted(linalg.RrefResult):
@@ -342,4 +397,4 @@ def test_tame_oracle_instance_builds_at_most_six_rref_results(monkeypatch):
     monkeypatch.setattr(linalg, "RrefResult", Counted)
     summary = run_suite("tame-oracle", 7, 64)
     assert summary["passes"] == 64
-    assert len(built) <= 6 * 64
+    assert len(built) <= 4 * 64
