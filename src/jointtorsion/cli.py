@@ -61,16 +61,17 @@ _REQUEST_KEYS = ("cmd", "payload", "seed", "timing")
 _MAX_OPERATOR_DIM = 20
 
 # A dense two-term torsion request at [64, 64] with entries p/q + r/s i,
-# |p|, |r|, q, s <= 4, takes about 0.35 s on a 2-vCPU machine, and about
-# 1.1 s and 23 MB peak with a random basis of that size for both spaces;
-# [96, 96] took 3 s.  Without the cap, spaces [n, 0, n] with no entries
+# |p|, |r|, q, s <= 4, takes about 0.25 s on a 2-vCPU machine, and about
+# 0.75 s and 17 MB peak RSS with a random basis of that size for both
+# spaces; [96, 96] took 3 s.  Without the cap, spaces [n, 0, n] with no entries
 # filled an n x n product of zeros before failing.
 _MAX_SPACES_TOTAL = 128
 
-# toeplitz_exact with f and g each given 12 roots inside the disk, each
-# root 1/p + 1/q i on its own two 3-digit primes (12 characters), takes
-# 5-7.5 s on a 2-vCPU machine; at 14 characters it took 8.5-11.5 s.  The
-# cost grows about 1.9x per root.
+# toeplitz_exact with f and g each given n roots inside the disk, each
+# root 1/p + 1/q i on its own two 3-digit primes (12 characters), leading
+# coefficients 2 and 3, takes 0.001, 0.12 and 3.7 s at n = 4, 8 and 12 on a
+# 2-vCPU machine: about 2.4x per root from 8 on.  At 12 roots of 14
+# characters (4-digit primes) it took 6.1 s.
 _MAX_ROOTS = 12
 _MAX_SYMBOL_TEXT = 12
 

@@ -103,9 +103,7 @@ class TrigPoly:
         return self.coeffs.get(k, 0j)
 
     def span(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(abs(k) for k in self.coeffs)
+        return max(map(abs, self.coeffs), default=0)
 
     def split(self) -> tuple:
         """The pieces with k < 0 and k >= 0, each in input order, except
@@ -182,9 +180,11 @@ def closed_form_di(f: TrigPoly, g: TrigPoly) -> complex:
 def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
     """Dense Toeplitz block M[j, k] = coeffs[j - k] of the given size.
 
-    The coefficients go once into a vector v with v[size - 1 - d] =
-    coeffs[d]; row j of the block is v[size - 1 - j:2 size - 1 - j], so
-    the block is one copy of v's reversed sliding windows.
+    The coefficients go once into a vector v of 2 size - 1 entries with
+    v[size - 1 - d] = coeffs[d], so M[j, k] = v[size - 1 - j + k]: the block
+    is one strided view of v, starting at v[size - 1] with row stride -1 and
+    column stride +1 entries, copied once.  For j, k < size the index lies
+    in [0, 2 size - 2], so the view never leaves v.
     """
     import numpy as np
 
@@ -192,7 +192,9 @@ def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
     for k, v in coeffs.items():
         if abs(k) < size:
             diagonals[size - 1 - k] = v
-    return np.lib.stride_tricks.sliding_window_view(diagonals, size)[::-1].copy()
+    step = diagonals.itemsize
+    return np.lib.stride_tricks.as_strided(
+        diagonals[size - 1:], (size, size), (-step, step)).copy()
 
 
 def _lu_determinant(a: np.ndarray) -> complex:
@@ -202,7 +204,9 @@ def _lu_determinant(a: np.ndarray) -> complex:
     Within a panel each column is brought up to date left-looking, pivoted,
     and its pivot row's U part computed across the whole width; the trailing
     block then takes the panel's update in one product.  The factors
-    overwrite ``a``.
+    overwrite ``a``.  At a panel's first column both left-looking products
+    have an empty inner dimension: they are exact zeros, and subtracting
+    them changes no bit, so that column needs no guard.
     """
     import numpy as np
 
@@ -211,23 +215,18 @@ def _lu_determinant(a: np.ndarray) -> complex:
     for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
         for k in range(p0, p1):
-            # at k == p0 the panel has no earlier column: the products are
-            # zero and subtracting them would change no bit
-            if k > p0:
-                a[k:, k] -= a[k:, p0:k] @ a[p0:k, k]
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            pivot = a[p, k]
+            col = a[k:, k]
+            col -= a[k:, p0:k] @ a[p0:k, k]
+            p = int(np.abs(col).argmax())
+            pivot = col[p]
             if not abs(pivot) >= _PIVOT_FLOOR:
                 raise DomainError("truncation unstable, increase N or shrink symbol")
-            if p != k:
-                row = a[k].copy()
-                a[k] = a[p]
-                a[p] = row
+            if p:
+                a[[k, k + p]] = a[[k + p, k]]
                 det = -det
             det *= pivot
-            a[k + 1:, k] /= pivot
-            if k > p0:
-                a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
+            col[1:] /= pivot
+            a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
         a[p1:, p1:] -= a[p1:, p0:p1] @ a[p0:p1, p1:]
     return det
 
@@ -288,13 +287,10 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
                        ("g", (g_lo, g_up, g_lo_inv, g_up_inv))):
         growth = 1.0
         for coeffs in sets:
-            largest = 0.0
-            for k, v in coeffs.items():
-                magnitude = abs(v)
-                largest = max(largest, magnitude)
-                if magnitude > 1e-14 and abs(k) > significant:
-                    significant = abs(k)
-            growth *= largest
+            magnitudes = {k: abs(v) for k, v in coeffs.items()}
+            growth *= max(magnitudes.values(), default=0.0)
+            significant = max([significant, *(abs(k) for k, m in
+                                              magnitudes.items() if m > 1e-14)])
         if growth > _MAX_GROWTH:
             raise DomainError(f"the exponential factors of {name} grow to "
                               f"{growth:.3g}, above the cap of "

@@ -28,9 +28,17 @@ MUTANTS = [
     ("pairing-ker-B-term-dropped", koszul,
      'dims["ker_B"] * (dims["ker_C"] + 1)', "0",
      "finite-triviality"),
+    ("lambda-ker-B-cap-ker-D-term-dropped-direct-sum", koszul,
+     'dims["ker_B_cap_ker_D"] * (dims["ker_D"] + dims["ker_B"])', "0",
+     "direct-sum"),
     ("pairing-ker-D-term-dropped", koszul,
      '+ dims["ker_D"] * (dims["ker_A"] + 1)', "",
      "finite-triviality-singular"),
+    ("pairing-ker-D-term-dropped-direct-sum", koszul,
+     '+ dims["ker_D"] * (dims["ker_A"] + 1)', "",
+     "direct-sum"),
+    # direct-sum cannot catch this one: the sign it flips is multiplicative
+    # under a direct sum, so both sides of that suite's row flip together
     ("eps-BC-first-map-plus-i", koszul,
      "(-ident, q.b,", "(ident, q.b,",
      "finite-triviality-singular"),

@@ -265,7 +265,8 @@ def reference_toeplitz(coeffs, size):
 
 def reference_blocked_lu(block):
     """The blocked LU on a copy, with every panel product and a fancy-index
-    row swap."""
+    row swap.  ``fredholm._lu_determinant`` takes the same steps in place;
+    this copy spells them without its column view."""
     a = block.copy()
     n = a.shape[0]
     det = 1.0 + 0j
