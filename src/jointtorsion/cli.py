@@ -6,7 +6,8 @@ command lives inside the request, so suites are plain data:
     echo '{"cmd": "joint_torsion_quad", "payload": {...}}' | jointtorsion
     jointtorsion --suite finite-triviality --seed 7 --count 200
 
-Importing this module loads no other module of the package but ``errors``:
+Importing this module loads no other module of the package but ``errors``,
+and neither ``argparse`` nor ``json``, which ``main`` and ``_emit`` import:
 each handler imports the modules its command runs, so a fresh process loads
 only those (a quad request never loads ``fredholm``, ``toeplitz``,
 ``suites`` or numpy, and a numeric request no exact module).  No other
@@ -35,8 +36,6 @@ included when the request sets "timing": true.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import re
 import sys
@@ -411,11 +410,16 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _emit(obj: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:
+    import argparse
+    import json
+
     parser = argparse.ArgumentParser(prog="jointtorsion", add_help=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--count", type=int, default=None)

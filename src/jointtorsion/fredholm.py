@@ -37,21 +37,19 @@ series are summed when, for f or for g, the product of the largest
 coefficient magnitudes of its four factors exceeds ``_MAX_GROWTH``, and
 also when the determinant is not finite.
 
-The seven products are written into three flat complex buffers, S1 and
-S3 of N M entries and S2 of M^2, each reused once its last contents are
-dead: op_a = T_{e^{f_-}} T_{e^{f_0+f_+}} (N x M) goes into S1, op_b (M x M)
-into S2, op_a op_b into S3, op_a^{-1} into S2, (op_a op_b) op_a^{-1} into
-S1, op_b^{-1} (M x N) into S3 and the N x N block into S2.  Each thread
-keeps its own set between requests (numpy releases the GIL inside a
-product, so threads may not share one), grown but never shrunk when a
-request needs more room, so a repeated request writes its products into
-memory it has already touched.  (The eight Toeplitz blocks are built
-afresh for each request; whether their pages are new again is up to the C
-allocator.)  A thread retains at most 3 M^2 entries for
-the largest M it has served, 113 MB at the cap.  While a request runs, the
-three buffers and the two Toeplitz blocks of the product being formed are
-live: fewer than the six M x M arrays that products into fresh arrays hold
-at once.
+Each thread keeps five flat complex buffers of at least M^2 entries
+between requests (numpy releases the GIL inside a product, so threads may
+not share them).  T1 and T2 take the two Toeplitz blocks of the product
+being formed: ``toeplitz_matrix`` gives a read-only strided view, which
+``_block`` copies in.  S1, S2 and S3 take the seven products, each reused
+once its last contents are dead: op_a = T_{e^{f_-}} T_{e^{f_0+f_+}}
+(N x M) goes into S1, op_b (M x M) into S2, op_a op_b into S3, op_a^{-1}
+into S2, (op_a op_b) op_a^{-1} into S1, op_b^{-1} (M x N) into S3 and the
+N x N block into S2.  The five grow together when a request needs more
+room and never shrink, so a repeated request writes its blocks and
+products into memory it has already touched, and no M x M array is
+allocated while it runs.  A thread retains 5 M^2 entries for the largest
+M it has served, 189 MB at the cap.
 
 The determinant comes from a blocked LU with partial pivoting (panels of
 32 columns, each column updated left-looking by one matrix-vector product,
@@ -178,13 +176,16 @@ def closed_form_di(f: TrigPoly, g: TrigPoly) -> complex:
 
 
 def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
-    """Dense Toeplitz block M[j, k] = coeffs[j - k] of the given size.
+    """Toeplitz block M[j, k] = coeffs[j - k] of the given size, as a
+    read-only view.
 
     The coefficients go once into a vector v of 2 size - 1 entries with
     v[size - 1 - d] = coeffs[d], so M[j, k] = v[size - 1 - j + k]: the block
     is one strided view of v, starting at v[size - 1] with row stride -1 and
-    column stride +1 entries, copied once.  For j, k < size the index lies
-    in [0, 2 size - 2], so the view never leaves v.
+    column stride +1 entries.  For j, k < size the index lies in
+    [0, 2 size - 2], so the view never leaves v.  Each entry of v appears
+    along a whole diagonal, so the view does not accept writes; ``_block``
+    copies it into a C-contiguous block.
     """
     import numpy as np
 
@@ -194,7 +195,24 @@ def toeplitz_matrix(coeffs: dict, size: int) -> np.ndarray:
             diagonals[size - 1 - k] = v
     step = diagonals.itemsize
     return np.lib.stride_tricks.as_strided(
-        diagonals[size - 1:], (size, size), (-step, step)).copy()
+        diagonals[size - 1:], (size, size), (-step, step), writeable=False)
+
+
+def _block(out: np.ndarray, coeffs: dict, size: int) -> np.ndarray:
+    """``toeplitz_matrix(coeffs, size)`` copied into the leading size^2
+    entries of the flat buffer ``out``, as a C-contiguous matrix."""
+    block = out[:size * size].reshape(size, size)
+    block[...] = toeplitz_matrix(coeffs, size)
+    return block
+
+
+def _product(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y, written into the leading entries of the flat buffer ``out`` as a
+    C-contiguous matrix."""
+    import numpy as np
+
+    rows, cols = x.shape[0], y.shape[1]
+    return np.matmul(x, y, out=out[:rows * cols].reshape(rows, cols))
 
 
 def _lu_determinant(a: np.ndarray) -> complex:
@@ -231,30 +249,21 @@ def _lu_determinant(a: np.ndarray) -> complex:
     return det
 
 
-def _buffers(rect: int, square: int) -> tuple:
-    """This thread's three flat complex buffers, of at least ``rect``,
-    ``square`` and ``rect`` entries.
+def _buffers(square: int) -> tuple:
+    """This thread's five flat complex buffers, each of at least ``square``
+    entries.
 
-    A request that needs more room grows them (they never shrink); the old
-    set is dropped first, so that it is never live beside the new one.
+    A request that needs more room grows all five (they never shrink); the
+    old set is dropped first, so that it is never live beside the new one.
     """
     import numpy as np
 
     bufs = getattr(_per_thread, "bufs", None)
-    if bufs is not None:
-        if bufs[0].size >= rect and bufs[1].size >= square:
-            return bufs
-        rect, square = max(rect, bufs[0].size), max(square, bufs[1].size)
-        _per_thread.bufs = bufs = None
-    _per_thread.bufs = (np.empty(rect, dtype=complex),
-                     np.empty(square, dtype=complex),
-                     np.empty(rect, dtype=complex))
+    if bufs is not None and bufs[0].size >= square:
+        return bufs
+    _per_thread.bufs = bufs = None
+    _per_thread.bufs = tuple(np.empty(square, dtype=complex) for _ in range(5))
     return _per_thread.bufs
-
-
-def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The leading rows x cols of a flat buffer as a C-contiguous matrix."""
-    return buf[:rows * cols].reshape(rows, cols)
 
 
 def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
@@ -309,23 +318,19 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
     # each entry the same way whatever the numbers of rows and columns, and
     # whatever memory it writes to, so the restricted chain gives that block
     # the bits of the full product.  Each product goes into a buffer whose
-    # last contents are no longer needed.
-    import numpy as np
-
-    s1, s2, s3 = _buffers(size * total, total * total)
-    op_a = np.matmul(toeplitz_matrix(f_lo, total)[:size],
-                     toeplitz_matrix(f_up, total), out=_view(s1, size, total))
-    op_b = np.matmul(toeplitz_matrix(g_lo, total),
-                     toeplitz_matrix(g_up, total), out=_view(s2, total, total))
-    x = np.matmul(op_a, op_b, out=_view(s3, size, total))
-    op_a_inv = np.matmul(toeplitz_matrix(f_up_inv, total),
-                         toeplitz_matrix(f_lo_inv, total),
-                         out=_view(s2, total, total))
-    y = np.matmul(x, op_a_inv, out=_view(s1, size, total))
-    op_b_inv = np.matmul(toeplitz_matrix(g_up_inv, total),
-                         toeplitz_matrix(g_lo_inv, total)[:, :size],
-                         out=_view(s3, total, size))
-    block = np.matmul(y, op_b_inv, out=_view(s2, size, size))
+    # last contents are no longer needed, and its two Toeplitz blocks into
+    # t1 and t2.
+    s1, s2, s3, t1, t2 = _buffers(total * total)
+    op_a = _product(s1, _block(t1, f_lo, total)[:size],
+                    _block(t2, f_up, total))
+    op_b = _product(s2, _block(t1, g_lo, total), _block(t2, g_up, total))
+    x = _product(s3, op_a, op_b)
+    op_a_inv = _product(s2, _block(t1, f_up_inv, total),
+                        _block(t2, f_lo_inv, total))
+    y = _product(s1, x, op_a_inv)
+    op_b_inv = _product(s3, _block(t1, g_up_inv, total),
+                        _block(t2, g_lo_inv, total)[:, :size])
+    block = _product(s2, y, op_b_inv)
 
     det = _lu_determinant(block)
     if not cmath.isfinite(det):

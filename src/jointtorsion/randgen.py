@@ -129,6 +129,25 @@ def random_commuting_pair(rng: random.Random, dim: int, mag: int = 3):
     return poly(), poly()
 
 
+def random_nilpotent_pair(rng: random.Random, dim: int, mag: int = 3):
+    """(m, c m^2) for m = P N P^-1, P invertible and N upper triangular with
+    each diagonal entry zero with odds one half, so that m often has a
+    nilpotent part, and m and m^2 kernels of different dimensions."""
+    p = random_invertible(rng, dim, mag)
+    entries = []
+    for i in range(dim):
+        for j in range(dim):
+            if j < i or (j == i and rng.random() < 0.5):
+                entries.append(QiScalar(0))
+            else:
+                entries.append(random_qi(rng, mag, 0.3))
+    m = p * ExactMatrix(dim, dim, entries) * p.inverse()
+    c = random_qi(rng, mag, 0.3)
+    while c.is_zero():
+        c = random_qi(rng, mag, 0.3)
+    return m, (m * m).scale(c)
+
+
 def random_symbol(rng: random.Random, max_roots: int = 3,
                   min_roots: int = 0) -> AnalyticSymbol:
     count = rng.randint(min_roots, max_roots)

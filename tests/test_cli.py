@@ -414,12 +414,14 @@ def test_symbol_text_at_the_cap_is_read():
 
 
 # A fresh interpreter imports jointtorsion.cli, runs one request and prints
-# the modules each step added to sys.modules.
+# the modules each step added to sys.modules (json, which the probe itself
+# imports, only after the import of the CLI is measured).
 _MODULE_PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 import jointtorsion.cli as cli
 imported = set(sys.modules) - before
+import json
 cli.run_request(json.loads(sys.argv[1]))
 print(json.dumps([sorted(imported), sorted(set(sys.modules) - before)]))
 """
@@ -487,6 +489,12 @@ def module_probe(cmd) -> tuple:
 
 def test_module_probe_covers_every_command():
     assert set(COMMAND_MODULES) == set(cli._COMMANDS)
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_json():
+    # main and _emit import them, so a request run in process needs neither
+    imported, _ = module_probe("torsion")
+    assert not imported & {"argparse", "json"}
 
 
 @pytest.mark.parametrize("cmd", list(COMMAND_MODULES))

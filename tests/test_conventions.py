@@ -45,8 +45,9 @@ MUTANTS = [
     ("sigma-kappa-sign-dropped", koszul,
      "sign = -1 if (kappa(a) + kappa(d)) % 2 else 1", "sign = 1",
      "finite-triviality"),
-    # caught by the one pair of the 30 whose two rank-parity exponents
-    # sum to an odd number
+    # caught by the pairs whose two rank-parity exponents sum to an odd
+    # number, which the odd instances' nilpotent draws make in a fair share
+    # (see test_rank_parity_mutant_fails_at_every_seed)
     ("rank-parity-correction-zero", koszul,
      "return seq.rank(n - 1) * (seq.rank(n) + seq.rank(1) + 1)", "return 0",
      "pseudoinverse"),
@@ -65,8 +66,8 @@ MUTANTS = [
 ]
 
 
-def run_mutated(monkeypatch, module, old, new, suite):
-    """``run_suite(suite, 1, 30)`` with ``module``'s source changed from
+def run_mutated(monkeypatch, module, old, new, suite, seed=1):
+    """``run_suite(suite, seed, 30)`` with ``module``'s source changed from
     ``old`` to ``new`` and executed into a fresh module, whose names are
     put in place of those ``suites`` imports from ``module``."""
     with open(module.__file__, encoding="utf-8") as fh:
@@ -79,7 +80,7 @@ def run_mutated(monkeypatch, module, old, new, suite):
     for name, value in vars(suites).items():
         if getattr(module, name, None) is value:
             monkeypatch.setattr(suites, name, getattr(mutant, name))
-    return run_suite(suite, 1, 30)
+    return run_suite(suite, seed, 30)
 
 
 @pytest.mark.parametrize("module, old, new, suite",
@@ -103,3 +104,12 @@ def test_unmutated_copy_passes(module, suite, monkeypatch):
     old = next(m[2] for m in MUTANTS if m[1] is module)
     summary = run_mutated(monkeypatch, module, old, old, suite)
     assert summary["passes"] == 30, summary
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_parity_mutant_fails_at_every_seed(seed, monkeypatch):
+    # not only one lucky pair: at least 3 of the 30 instances at each seed
+    _, module, old, new, suite = next(
+        m for m in MUTANTS if m[0] == "rank-parity-correction-zero")
+    summary = run_mutated(monkeypatch, module, old, new, suite, seed)
+    assert summary["passes"] <= 27, summary

@@ -317,12 +317,17 @@ def bits(z):
 
 
 def test_toeplitz_block_matches_the_per_diagonal_reference():
+    # the view shares one entry along each diagonal, so it takes no writes;
+    # the block copied from it into a flat buffer is what the products read
     rng = random.Random(151)
+    out = np.empty(40 * 40, dtype=complex)
     for size in (1, 2, 3, 7, 16, 33):
         for _ in range(10):
             coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for k in range(-40, 41) if rng.random() < 0.3}
-            block = fredholm.toeplitz_matrix(coeffs, size)
+            assert not fredholm.toeplitz_matrix(coeffs, size).flags.writeable
+            block = fredholm._block(out, coeffs, size)
+            assert block.base is out
             assert block.flags.c_contiguous
             assert block.tobytes() == reference_toeplitz(coeffs, size).tobytes()
 
@@ -390,7 +395,7 @@ def _poison_column(monkeypatch, column):
     built = []
 
     def poisoned(coeffs, size):
-        block = original(coeffs, size)
+        block = original(coeffs, size).copy()
         built.append(size)
         if len(built) == 8:  # T_{e^{-g_-}}, the last factor
             block[:, column] = complex("nan")
@@ -467,24 +472,14 @@ def test_threads_keep_their_own_buffers():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults with getrusage")
-def test_repeated_request_makes_no_page_faults(monkeypatch):
-    # The eight Toeplitz blocks are built in advance and handed out again,
-    # so the count covers the products and the LU alone: a repeated request
-    # writes into the buffers the first one left.  Built afresh per request,
-    # the blocks fault or not as the C allocator trims its heap or keeps it.
+def test_repeated_request_makes_no_page_faults():
+    # The eight Toeplitz blocks and the seven products all go into the
+    # thread's five buffers, so a repeated request writes only into memory
+    # the first one left.  Blocks allocated per request would fault again
+    # whenever the C allocator trims its heap.
     import resource
 
     f, g = NUMERIC_CORPUS[1]
-    original = fredholm.toeplitz_matrix
-    blocks = {}
-
-    def prebuilt(coeffs, size):
-        key = (tuple(coeffs.items()), size)
-        if key not in blocks:
-            blocks[key] = original(coeffs, size)
-        return blocks[key]
-
-    monkeypatch.setattr(fredholm, "toeplitz_matrix", prebuilt)
     numeric_det_invariant(f, g, 256)
     # the whole process, since BLAS threads write the products
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
