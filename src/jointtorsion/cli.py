@@ -20,15 +20,16 @@ sum to more than ``_MAX_SPACES_TOTAL``, a toeplitz_exact
 symbol with more than ``_MAX_ROOTS`` roots or a leading coefficient or root
 longer than ``_MAX_SYMBOL_TEXT`` characters, a verify ``count`` above
 ``_MAX_SUITE_COUNT``, or a result part with more digits than
-``sys.get_int_max_str_digits()``), 3 parse error (malformed JSON, including
-a key repeated in one object, an integer literal over that digit limit and
-nesting deeper than the recursion limit, or a payload that does not match
-the command's schema, including a key the request, its payload, a symbol or
-a trig polynomial does not have, scalar text outside the ASCII grammar or
-with a part over the digit limit, a negative dimension or buffer, a seed
-that is not an integer, a timing that is not a boolean, a trig degree key
-outside ``0|-?[1-9][0-9]*`` and a trig coefficient that is a boolean or not
-a finite number; messages carry the JSON path), 4 internal error (any other
+``sys.get_int_max_str_digits()``), 3 parse error (a bad command-line flag
+or flag value, malformed JSON, including a key repeated in one object, an
+integer literal over that digit limit and nesting deeper than the
+recursion limit, or a payload that does not match the command's schema,
+including a key the request, its payload, a symbol or a trig polynomial
+does not have, scalar text outside the ASCII grammar or with a part over
+the digit limit, a negative dimension or buffer, a seed that is not an
+integer, a timing that is not a boolean, a trig degree key outside
+``0|-?[1-9][0-9]*`` and a trig coefficient that is a boolean or not a
+finite number; messages carry the JSON path), 4 internal error (any other
 exception; the body is {"error": "..."}, never a traceback).  Output bytes
 are identical for identical (request, seed); wall-clock timing is only
 included when the request sets "timing": true.
@@ -167,7 +168,8 @@ def _matrix(value, path: str, rows: int, cols: int) -> ExactMatrix:
     if len(items) != rows * cols:
         raise SchemaError(f"{path}: expected {rows * cols} entries "
                           f"({rows}x{cols} row-major), got {len(items)}")
-    return ExactMatrix(rows, cols, [_scalar(QiScalar.parse, v, f"{path}[{i}]")
+    parse = QiScalar.parse
+    return ExactMatrix(rows, cols, [_scalar(parse, v, f"{path}[{i}]")
                                     for i, v in enumerate(items)])
 
 
@@ -424,6 +426,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--count", type=int, default=None)
     parser.add_argument("--suite", type=str, default=None)
+
+    def refuse(message):  # in place of argparse's usage text and exit 2
+        _emit({"error": f"flag error: {message}"})
+        sys.exit(3)
+
+    parser.error = refuse
     args = parser.parse_args(argv)
 
     if args.suite is not None:

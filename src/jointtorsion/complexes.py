@@ -156,18 +156,17 @@ def torsion_scalar(seq: BasedExactSequence) -> QiScalar:
         selections[k] = list(seq.differential(k).rref().pivots)
     value = ONE
     for k in range(n, -1, -1):
-        d_up = seq.differential(k + 1)
         cols, own = selections[k + 1], selections[k]
         r, s = len(cols), len(own)
-        if not r:
-            c = ONE
-        elif not s and cols == list(range(d_up.cols)):
-            c = d_up.determinant()
-        else:
-            own_set = set(own)
-            c = ExactMatrix(r, r, [d_up[i, j] for i in range(d_up.rows)
-                                   if i not in own_set for j in cols]
-                            ).determinant()
+        c = ONE
+        if r:  # d_{k+1} is read only here
+            minor = seq.differential(k + 1)
+            if s or cols != list(range(minor.cols)):
+                own_set = set(own)
+                minor = ExactMatrix(r, r, [minor[i, j]
+                                           for i in range(minor.rows)
+                                           if i not in own_set for j in cols])
+            c = minor.determinant()
         if (sum(own) + s * r + s * (s - 1) // 2) % 2:
             c = -c
         g = seq.basis(k)

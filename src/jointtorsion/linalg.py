@@ -13,12 +13,15 @@ picks the same pivots as plain Gauss-Jordan over Q(i), and every basis,
 transform and determinant equals the one plain elimination gives.
 
 A matrix is eliminated forward once, and that one pass gives its pivots,
-its rank and, when it is square, its determinant.  Every elimination
-reduces only the rows and columns its caller reads: ``_jordan`` reduces
-[m | x] over m's columns and returns x, with x = I for the transform and
-x = the free columns of f whose kernel vectors are read beside m = f's
-pivot columns, and a subquotient back-substitutes only the rows of its
-projection.
+its rank and, when it is square, its determinant.  The kernel takes rows,
+not matrices: each caller hands ``_cleared_rows`` the rows it assembles,
+and every elimination reduces only the rows and columns its caller reads.
+The one Gauss-Jordan helper, ``_jordan``, takes the rows of [m | x] and
+returns x reduced over m's columns, with x the unit rows for the
+transform, and x = the free columns of f whose kernel vectors are read
+beside m = f's pivot columns; a subquotient back-substitutes only the
+rows of its projection.  So no identity, no stacked matrix and no column
+selection is built only to be eliminated.
 
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
@@ -35,11 +38,11 @@ eliminating.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .errors import DomainError
-from .scalars import ONE, ZERO, QiScalar, _raw
+from .scalars import ONE, ZERO, QiScalar, _reduced
 
 
 def _to_scalar(value) -> QiScalar:
@@ -48,6 +51,11 @@ def _to_scalar(value) -> QiScalar:
     if isinstance(value, str):
         return QiScalar.parse(value)
     return QiScalar(value)
+
+
+def _unit(i: int, n: int) -> tuple:
+    """Row i of the n x n identity."""
+    return (ZERO,) * i + (ONE,) + (ZERO,) * (n - i - 1)
 
 
 # -- fraction-free elimination kernel ------------------------------------------
@@ -98,19 +106,20 @@ class _Slots:
                 for s in range(start * bits, (start + width) * bits, bits)]
 
 
-def _cleared_rows(m: "ExactMatrix"):
-    """The rows of m, each scaled by the lcm of its denominators, packed.
+def _cleared_rows(rows, width: int):
+    """The rows, each a sequence of ``width`` QiScalars, scaled by the lcm
+    of their denominators and packed.
 
-    The slot width holds Hadamard's bound on every minor (the product of the
-    row norms), which bounds every entry fraction-free elimination produces.
-    A caller that needs the transform appends an identity block to m, so
-    elimination records the transform beside the reduced matrix.
+    This is the one way into the elimination kernel, and its callers hand
+    it the rows they assemble: a matrix's own rows, or rows with unit rows
+    or chosen columns beside them, so no matrix is built only to be
+    cleared.  The slot width holds Hadamard's bound on every minor (the
+    product of the row norms), which bounds every entry fraction-free
+    elimination produces.
     """
-    n, w = m.rows, m.cols
     cleared = []
     bits = 2
-    for i in range(n):
-        row = m.entries[i * w:(i + 1) * w]
+    for row in rows:
         den = lcm(*[e.d for e in row])
         if den == 1:
             re = [e.a for e in row]
@@ -121,7 +130,7 @@ def _cleared_rows(m: "ExactMatrix"):
         norm_sq = sum(map(mul, re, re)) + sum(map(mul, im, im))
         bits += (norm_sq.bit_length() + 1) // 2
         cleared.append((re, im, den))
-    slots = _Slots(bits, w)
+    slots = _Slots(bits, width)
     return [(slots.pack(re), slots.pack(im), den)
             for re, im, den in cleared], slots
 
@@ -191,14 +200,7 @@ def _quotients(re, im, gr, gi) -> list:
         gr = gr * gr + gi * gi
     elif gr < 0:
         re, im, gr = [-a for a in re], [-b for b in im], -gr
-    out = []
-    for a, b in zip(re, im):
-        if a or b:
-            g = gcd(a, b, gr)
-            out.append(_raw(a // g, b // g, gr // g))
-        else:
-            out.append(ZERO)
-    return out
+    return [_reduced(a, b, gr) for a, b in zip(re, im)]
 
 
 class ExactMatrix:
@@ -232,10 +234,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        ent = [ZERO] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = ONE
-        return cls(n, n, ent)
+        return cls(n, n, [e for i in range(n) for e in _unit(i, n)])
 
     # -- access ----------------------------------------------------------
 
@@ -353,7 +352,8 @@ class ExactMatrix:
             self._rref = RrefResult(self.rows, self.cols, self.entries, (),
                                     ONE if self.is_square() else None)
             return self._rref
-        rows, slots = _cleared_rows(self)
+        rows, slots = _cleared_rows(
+            [self.row(i) for i in range(self.rows)], self.cols)
         pivots, last, swaps = _fraction_free(rows, slots, self.cols,
                                              self.rows)
         det = None
@@ -443,17 +443,20 @@ class RrefResult:
     def transform(self) -> ExactMatrix:
         if self._transform is None:
             n, cols = self._shape
-            ident = ExactMatrix.identity(n)
-            self._transform = (_jordan(ExactMatrix(n, cols, self._entries),
-                                       ident) if n and cols else ident)
+            e = self._entries
+            rows = [e[i * cols:(i + 1) * cols] + _unit(i, n) for i in range(n)]
+            # with no columns to eliminate, the unit rows are the transform
+            self._transform = (_jordan(rows, cols, n) if n and cols else
+                               ExactMatrix(n, n, [x for r in rows for x in r]))
         return self._transform
 
 
-def _jordan(m: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
-    """x after a Gauss-Jordan pass of [m | x] over m's columns."""
-    rows, slots = _cleared_rows(m.hstack(x))
-    pivots, last, _ = _fraction_free(rows, slots, m.cols, 0)
-    return _block(rows, slots, last, len(pivots), m.cols, x.cols)
+def _jordan(rows: list, cols: int, width: int) -> ExactMatrix:
+    """The ``width`` columns after the first ``cols`` of ``rows``, once a
+    Gauss-Jordan pass has reduced the rows over those ``cols`` columns."""
+    cleared, slots = _cleared_rows(rows, cols + width)
+    pivots, last, _ = _fraction_free(cleared, slots, cols, 0)
+    return _block(cleared, slots, last, len(pivots), cols, width)
 
 
 def _kernel_vectors(f: ExactMatrix, free: list) -> ExactMatrix:
@@ -464,7 +467,9 @@ def _kernel_vectors(f: ExactMatrix, free: list) -> ExactMatrix:
     k = len(free)
     ent = [ZERO] * (f.cols * k)
     if pivots and free:
-        reduced = _jordan(f.select_columns(pivots), f.select_columns(free))
+        entries, w, picked = f.entries, f.cols, pivots + tuple(free)
+        reduced = _jordan([[entries[i * w + j] for j in picked]
+                           for i in range(f.rows)], len(pivots), k)
         for prow, pcol in enumerate(pivots):
             ent[pcol * k:(pcol + 1) * k] = [-e for e in reduced.row(prow)]
     for c, j in enumerate(free):
@@ -540,15 +545,15 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
 
     The cycles are f's kernel vectors, the boundaries g's image basis,
     which f must kill.  A cycle's coordinates are its entries at f's free
-    columns, so one elimination of [B | P], the rows of the boundaries and
-    of I at those columns, gives the rest.  Its pivots in B are all of B,
-    those in P the free columns of the representatives, the kernel vectors
-    that extend the boundaries to a basis of the cycles; only they are
-    built.  Its reduced P rows past the boundaries are the projection: they
-    kill the boundaries and f's pivot columns, the standard complement of
-    the cycles.  Only those rows are read, so only they are
-    back-substituted; a zero-dimensional quotient has none, and its
-    elimination is a forward pass.
+    columns, so one elimination of [B | P], the boundaries' rows at those
+    columns each followed by that row of I, gives the rest.  Its pivots in
+    B are all of B, those in P the free columns of the representatives, the
+    kernel vectors that extend the boundaries to a basis of the cycles;
+    only they are built.  Its reduced P rows past the boundaries are the
+    projection: they kill the boundaries and f's pivot columns, the
+    standard complement of the cycles.  Only those rows are read, so only
+    they are back-substituted; a zero-dimensional quotient has none, and
+    its elimination is a forward pass.
     """
     if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
@@ -557,11 +562,9 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
         raise DomainError("not a subquotient")
     n, nb, pivot_set = f.cols, boundaries.cols, set(f.rref().pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    ident = ExactMatrix.identity(n)
-    stacked = ExactMatrix(len(free), nb + n, [
-        e for j in free for e in boundaries.row(j) + ident.row(j)])
-    rows, slots = _cleared_rows(stacked)
-    pivots, last, _ = _fraction_free(rows, slots, stacked.cols, nb)
+    rows, slots = _cleared_rows(
+        [boundaries.row(j) + _unit(j, n) for j in free], nb + n)
+    pivots, last, _ = _fraction_free(rows, slots, nb + n, nb)
     reps = [p - nb for p in pivots[nb:]]
     project = _block(rows[nb:], slots, last, len(reps), nb, n)
     return Subquotient(f, boundaries, _kernel_vectors(f, reps), project)

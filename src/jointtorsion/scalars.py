@@ -4,8 +4,9 @@ A scalar is three integers (a, b, d) for (a + b*i) / d, the form in which
 the elimination kernel of ``linalg`` holds a row, kept canonical at all
 times: gcd(a, b, d) = 1, d > 0, and zero stored uniquely as (0, 0, 1).
 Equality is therefore structural equality of the three integers, and
-scalars are hashable and safe to share.  ``QiScalar(a, b, d)`` builds one
-from any three ints with d != 0 and makes it canonical.
+scalars are hashable and safe to share; a scalar equal to an int hashes as
+that int.  ``QiScalar(a, b, d)`` builds one from any three ints with
+d != 0 and makes it canonical.
 
 The textual form is ``p/q+r/s*i`` with parts omitted when zero, e.g. ``3``,
 ``-1/2*i``, ``1/2-2/3*i``; each part is reduced only when it is printed.
@@ -136,6 +137,9 @@ class QiScalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # a scalar equal to an int hashes as that int, as equality requires
+        if not self.b and self.d == 1:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     # -- text --------------------------------------------------------------

@@ -296,6 +296,46 @@ def test_seed_flag_fills_missing_seed():
     assert with_flag.stdout == invoke(explicit).stdout
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["--count", "x"], "argument --count: invalid int value: 'x'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--seed"], "argument --seed: expected one argument"),
+    (["--suite", "steinberg", "--count", "2.5"],
+     "argument --count: invalid int value: '2.5'"),
+])
+def test_bad_flag_is_a_json_parse_error(flags, message):
+    # one JSON line on stdout and exit 3, never argparse's usage and exit 2
+    proc = invoke(ZERO_QUAD, flags=flags)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": f"flag error: {message}"}
+
+
+def test_help_flag_still_prints_usage_and_exits_0():
+    proc = invoke(flags=["--help"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: jointtorsion")
+
+
+def test_matrix_reader_fetches_the_scalar_parser_once(monkeypatch):
+    # each read of a classmethod binds a new method object, so one object
+    # for every entry means one fetch per matrix
+    parsers = []
+    scalar = cli._scalar
+
+    def recorded(parse, value, path):
+        parsers.append(parse)
+        return scalar(parse, value, path)
+
+    monkeypatch.setattr(cli, "_scalar", recorded)
+    matrix = cli._matrix(["1", "2", "i", "0"], "$.m", 2, 2)
+    assert [e.to_text() for e in matrix.entries] == ["1", "2", "1*i", "0"]
+    assert len(parsers) == 4
+    assert all(parse is parsers[0] for parse in parsers)
+
+
 def test_torsion_request_with_real_bases():
     # swapping the bottom space's basis vectors negates the two-term torsion
     req = {"cmd": "torsion",

@@ -473,6 +473,30 @@ def test_elimination_count_of_a_dim6_quadruple(monkeypatch):
     assert jordan <= 16
 
 
+def test_no_matrix_is_built_only_to_be_eliminated(monkeypatch):
+    # The elimination kernel takes rows, so no identity, stacked or
+    # column-selected matrix is built only to be cleared, and a torsion
+    # fetches no zero-shaped end map it does not read.  With those matrices
+    # this quadruple built 207 and the two-term torsion one zero-shaped map.
+    q = random_quadruple(child_rng(1, 0), 6)
+    fresh = KoszulQuadruple(*(ExactMatrix(m.rows, m.cols, m.entries)
+                              for m in (q.a, q.b, q.c, q.d)))
+    seq = BasedExactSequence([2, 2], [mat([[1, 2], [3, 4]])])
+    shapes = []
+    init = ExactMatrix.__init__
+
+    def counted(self, rows, cols, entries):
+        shapes.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    assert joint_torsion_quad(fresh).value == QiScalar(1)
+    assert len(shapes) <= 167
+    shapes.clear()
+    assert torsion_scalar(seq) == QiScalar(-2)
+    assert [s for s in shapes if 0 in s] == []
+
+
 def test_quadruple_checks_ab_equals_cd_by_one_product(monkeypatch):
     q = random_quadruple(child_rng(29, 2000), 3)
     products = []

@@ -200,9 +200,9 @@ def test_subquotient_eliminates_boundaries_in_cycle_coordinates(
     recorded_shapes = []
     clear = linalg._cleared_rows
 
-    def recorded(m):
-        recorded_shapes.append((m.rows, m.cols))
-        return clear(m)
+    def recorded(rows, width):
+        recorded_shapes.append((len(rows), width))
+        return clear(rows, width)
 
     monkeypatch.setattr(linalg, "_cleared_rows", recorded)
     build_subquotient(f, g)
@@ -248,9 +248,9 @@ def test_kernel_basis_eliminates_the_matrix_without_an_identity(monkeypatch):
     shapes = []
     clear = linalg._cleared_rows
 
-    def recorded(matrix):
-        shapes.append((matrix.rows, matrix.cols))
-        return clear(matrix)
+    def recorded(rows, width):
+        shapes.append((len(rows), width))
+        return clear(rows, width)
 
     monkeypatch.setattr(linalg, "_cleared_rows", recorded)
     kernel = m.kernel_basis()
@@ -493,7 +493,7 @@ def test_rref_invariants(m):
 def standalone_determinant(m):
     """The determinant by its own forward Bareiss elimination, apart from
     rref: the last pivot, signed by the swaps, over the clearing factors."""
-    rows, slots = _cleared_rows(m)
+    rows, slots = _cleared_rows(matrix_rows(m), m.cols)
     pivots, (pr, pi), swaps = _fraction_free(rows, slots, m.cols, m.rows)
     if len(pivots) < m.rows:
         return ZERO
@@ -503,8 +503,13 @@ def standalone_determinant(m):
     return QiScalar(pr, pi, den)
 
 
+def matrix_rows(m):
+    return [m.row(i) for i in range(m.rows)]
+
+
 def jordan_pivots(m):
-    rows, slots = _cleared_rows(m.hstack(ExactMatrix.identity(m.rows)))
+    augmented = m.hstack(ExactMatrix.identity(m.rows))
+    rows, slots = _cleared_rows(matrix_rows(augmented), augmented.cols)
     pivots, _, _ = _fraction_free(rows, slots, m.cols, 0)
     return tuple(pivots)
 
@@ -524,6 +529,29 @@ def test_forward_pass_gives_jordan_pivots_and_bareiss_determinant(m):
         assert res.determinant is None
         with pytest.raises(DomainError, match="non-square"):
             m.determinant()
+
+
+def test_slot_widths_of_three_passes(monkeypatch):
+    # (bits per slot, slots per row) of each packed pass: a fixed matrix's
+    # forward pass, the [B | P] pass of coker C and the transform pass of
+    # C, for the dim-8 quadruple's C.  A change to the slot bound, or to the
+    # rows a pass packs, shows here as a changed width.
+    m = mat([[1, 2, 0, "i", 3, 0], [0, 1, 1, 0, "2i", 1],
+             [1, 3, 1, "i", "3+2i", 1], [2, 4, 0, "2i", 6, 0]])
+    c = random_quadruple(child_rng(1, 0), 8).c
+    c.rref()
+    widths = []
+    init = linalg._Slots.__init__
+
+    def recorded(self, bits, width):
+        widths.append((bits, width))
+        init(self, bits, width)
+
+    monkeypatch.setattr(linalg._Slots, "__init__", recorded)
+    m.rref()
+    cokernel_of(c)
+    c.rref().transform
+    assert widths == [(12, 6), (688, 12), (690, 16)]
 
 
 # -- differential test of the one-elimination subquotient ---------------------

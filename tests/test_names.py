@@ -1,9 +1,9 @@
-"""Every public name resolves, every name the benchmark's tracer wraps or
-reads still exists in the package, so that a traced run (``--trace 1``)
-cannot break silently when a name is deleted or renamed, every ``rref``
-result keeps a part the tracer reads, README's list of suites is the
-package's, and every name README says the package computes is one it
-exports.
+"""Every public name resolves, every name a package module imports is read
+there, every name the benchmark's tracer wraps or reads still exists in
+the package, so that a traced run (``--trace 1``) cannot break silently
+when a name is deleted or renamed, every ``rref`` result keeps a part the
+tracer reads, README's list of suites is the package's, and every name
+README says the package computes is one it exports.
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
 are plain literals, and the scalar attributes it reads are found in its
@@ -23,6 +23,7 @@ import jointtorsion
 from jointtorsion.suites import SUITES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "jointtorsion")
 TRACING = os.path.join(ROOT, "benchmark", "tracing.py")
 README = os.path.join(ROOT, "README.md")
 TABLES = ("FUNCTIONS", "CLASSES", "METHODS", "SCALAR_OPS")
@@ -147,3 +148,44 @@ def test_readme_lists_every_suite():
     start = text.index("Available suites for `verify` / `--suite`:")
     listing = text[text.index(":", start):text.index(". ", start)]
     assert re.findall(r"`([^`]+)`", listing) == list(SUITES)
+
+
+def unused_imports(source: str) -> list:
+    """The names ``source`` imports and never reads.  A name read only in
+    an annotation, quoted or not, counts as read; ``__future__`` imports
+    bind no name."""
+    tree = ast.parse(source)
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = getattr(node, "returns", getattr(node, "annotation", None))
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value))
+                         if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_finder_sees_reads_and_annotations():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from .scalars import ONE, ZERO, _raw\n"
+              "from .linalg import ExactMatrix as M, Subquotient\n"
+              "def f(x: M) -> 'Subquotient':\n"
+              "    import json\n"
+              "    return ZERO\n")
+    assert unused_imports(source) == ["os", "ONE", "_raw", "json"]
+
+
+def test_every_imported_name_is_read():
+    names = sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py"))
+    assert "linalg.py" in names
+    for name in names:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            assert unused_imports(fh.read()) == [], name

@@ -108,6 +108,16 @@ def test_canonical_form_is_idempotent():
     assert (zero.re_num, zero.re_den) == (0, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, 2, 3, -7, 2 ** 70, -(2 ** 70)])
+def test_a_scalar_equal_to_an_int_hashes_as_that_int(n):
+    # equal objects must hash equal, or sets and dicts tell them apart
+    x = QiScalar(n)
+    assert x == n and hash(x) == hash(n)
+    assert len({x, n}) == 1
+    assert {n: "x"}.get(x) == "x" and {x: "x"}.get(n) == "x"
+    assert QiScalar(2 * n, 0, 2) in {n}
+
+
 def test_text_round_trip_fixed_forms():
     for text in ["0", "3", "-1/2*i", "1/2+1/3*i", "-2-5/7*i", "i", "-i", "1*i"]:
         parsed = QiScalar.parse(text)
