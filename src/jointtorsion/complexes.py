@@ -84,10 +84,6 @@ class ChainComplexSpec:
         self._check_degree(k, self.length)
         return self._dims[k]
 
-    @property
-    def dims_by_degree(self) -> list:
-        return list(self._dims)
-
     def differential(self, k: int) -> ExactMatrix:
         """d_k for 0 <= k <= n+1, with zero-shaped maps at the ends."""
         self._check_degree(k, self.length + 1)

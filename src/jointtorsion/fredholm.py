@@ -19,7 +19,7 @@ largest degree at which any of the eight exponential factors has a
 coefficient above 1e-14: each Toeplitz factor then reaches at most S rows
 past the block.  The enlarged size N + B may not exceed ``_MAX_DIM``; a
 larger request is rejected once S is known and before any array is built.
-At the cap one request takes about 2 s and 250 MB peak on a 2-vCPU
+At the cap one request takes about 1.7 s and 176 MB peak on a 2-vCPU
 machine.
 
 The eight factors come from four series, one per +- pair: the series of
@@ -37,25 +37,30 @@ series are summed when, for f or for g, the product of the largest
 coefficient magnitudes of its four factors exceeds ``_MAX_GROWTH``, and
 also when the determinant is not finite.
 
-Each thread keeps five flat complex buffers of at least M^2 entries
+Each thread keeps four flat complex buffers of at least M^2 entries
 between requests (numpy releases the GIL inside a product, so threads may
-not share them).  T1 and T2 take the two Toeplitz blocks of the product
-being formed: ``toeplitz_matrix`` gives a read-only strided view, which
-``_block`` copies in.  S1, S2 and S3 take the seven products, each reused
-once its last contents are dead: op_a = T_{e^{f_-}} T_{e^{f_0+f_+}}
-(N x M) goes into S1, op_b (M x M) into S2, op_a op_b into S3, op_a^{-1}
-into S2, (op_a op_b) op_a^{-1} into S1, op_b^{-1} (M x N) into S3 and the
-N x N block into S2.  The five grow together when a request needs more
-room and never shrink, so a repeated request writes its blocks and
-products into memory it has already touched, and no M x M array is
-allocated while it runs.  A thread retains 5 M^2 entries for the largest
-M it has served, 189 MB at the cap.
+not share them).  Each block and product goes into a buffer whose last
+contents are dead.  ``toeplitz_matrix`` gives a read-only strided view of
+a Toeplitz block, which ``_block`` copies in.  In the order they are
+formed: T_{e^{f_-}} (its first N rows) into 1, T_{e^{f_0+f_+}} into 2,
+op_a = T_{e^{f_-}} T_{e^{f_0+f_+}} (N x M) into 3; T_{e^{g_-}} into 1,
+T_{e^{g_0+g_+}} into 2, op_b (M x M) into 4; op_a op_b into 1;
+T_{e^{-f_0-f_+}} into 2, T_{e^{-f_-}} into 3, op_a^{-1} into 4;
+(op_a op_b) op_a^{-1} into 2; T_{e^{-g_0-g_+}} into 1, T_{e^{-g_-}} into 3,
+op_b^{-1} (M x N) into 4; the N x N block into 1.  At most four arrays are
+live, while op_b, op_a^{-1} and op_b^{-1} are formed.  The four grow
+together when a request needs more room and never shrink, so a repeated
+request writes its blocks and products into memory it has already
+touched, and no M x M array is allocated while it runs.  A thread retains
+4 M^2 entries for the largest M it has served, 151 MB at the cap.
 
 The determinant comes from a blocked LU with partial pivoting (panels of
 32 columns, each column updated left-looking by one matrix-vector product,
 then one matrix product for the trailing block), done in place on the
-block in S2.  Every pivot must reach the stability floor, else the
-truncation is reported unstable.
+block in buffer 1.  Each trailing product is written into buffer 3, dead
+by then, and subtracted, so the LU allocates no matrix either.  Every
+pivot must reach the stability floor, else the truncation is reported
+unstable.
 
 numpy is imported by the functions that use it, so importing this module
 (and the CLI) does not load it.
@@ -215,16 +220,18 @@ def _product(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y, out=out[:rows * cols].reshape(rows, cols))
 
 
-def _lu_determinant(a: np.ndarray) -> complex:
+def _lu_determinant(a: np.ndarray, scratch: np.ndarray) -> complex:
     """Determinant by blocked LU with partial pivoting (first maximum of
     |a| in the column); pivots below the floor, or NaN, are rejected.
 
     Within a panel each column is brought up to date left-looking, pivoted,
     and its pivot row's U part computed across the whole width; the trailing
-    block then takes the panel's update in one product.  The factors
-    overwrite ``a``.  At a panel's first column both left-looking products
-    have an empty inner dimension: they are exact zeros, and subtracting
-    them changes no bit, so that column needs no guard.
+    block then takes the panel's update in one product, written into the
+    flat buffer ``scratch`` (room for the first trailing block, apart from
+    ``a``) and then subtracted.  The factors overwrite ``a``.  At a panel's
+    first column both left-looking products have an empty inner dimension:
+    they are exact zeros, and subtracting them changes no bit, so that
+    column needs no guard.
     """
     import numpy as np
 
@@ -245,15 +252,15 @@ def _lu_determinant(a: np.ndarray) -> complex:
             det *= pivot
             col[1:] /= pivot
             a[k, k + 1:] -= a[k, p0:k] @ a[p0:k, k + 1:]
-        a[p1:, p1:] -= a[p1:, p0:p1] @ a[p0:p1, p1:]
+        a[p1:, p1:] -= _product(scratch, a[p1:, p0:p1], a[p0:p1, p1:])
     return det
 
 
 def _buffers(square: int) -> tuple:
-    """This thread's five flat complex buffers, each of at least ``square``
+    """This thread's four flat complex buffers, each of at least ``square``
     entries.
 
-    A request that needs more room grows all five (they never shrink); the
+    A request that needs more room grows all four (they never shrink); the
     old set is dropped first, so that it is never live beside the new one.
     """
     import numpy as np
@@ -262,7 +269,7 @@ def _buffers(square: int) -> tuple:
     if bufs is not None and bufs[0].size >= square:
         return bufs
     _per_thread.bufs = bufs = None
-    _per_thread.bufs = tuple(np.empty(square, dtype=complex) for _ in range(5))
+    _per_thread.bufs = tuple(np.empty(square, dtype=complex) for _ in range(4))
     return _per_thread.bufs
 
 
@@ -314,25 +321,26 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
         raise DomainError(f"truncation size n + buffer = {total} exceeds "
                           f"the cap of {_MAX_DIM}")
 
-    # Only the leading size x size block of the product is read.  BLAS sums
-    # each entry the same way whatever the numbers of rows and columns, and
-    # whatever memory it writes to, so the restricted chain gives that block
-    # the bits of the full product.  Each product goes into a buffer whose
-    # last contents are no longer needed, and its two Toeplitz blocks into
-    # t1 and t2.
-    s1, s2, s3, t1, t2 = _buffers(total * total)
-    op_a = _product(s1, _block(t1, f_lo, total)[:size],
-                    _block(t2, f_up, total))
-    op_b = _product(s2, _block(t1, g_lo, total), _block(t2, g_up, total))
-    x = _product(s3, op_a, op_b)
-    op_a_inv = _product(s2, _block(t1, f_up_inv, total),
-                        _block(t2, f_lo_inv, total))
-    y = _product(s1, x, op_a_inv)
-    op_b_inv = _product(s3, _block(t1, g_up_inv, total),
-                        _block(t2, g_lo_inv, total)[:, :size])
-    block = _product(s2, y, op_b_inv)
+    # Only the leading size x size block of the product is read.  A product
+    # restricted to its leading rows or columns keeps their bits, whatever
+    # memory it writes to (the tests check this; a tile elsewhere need not),
+    # so the restricted chain gives that block the bits of the full product.
+    # Each block and product goes into a buffer whose last contents are
+    # dead: four are live while op_b, op_a^-1 and op_b^-1 are formed, and
+    # the LU writes its trailing updates into b3, dead once op_b^-1 is.
+    b1, b2, b3, b4 = _buffers(total * total)
+    op_a = _product(b3, _block(b1, f_lo, total)[:size],
+                    _block(b2, f_up, total))
+    op_b = _product(b4, _block(b1, g_lo, total), _block(b2, g_up, total))
+    x = _product(b1, op_a, op_b)
+    op_a_inv = _product(b4, _block(b2, f_up_inv, total),
+                        _block(b3, f_lo_inv, total))
+    y = _product(b2, x, op_a_inv)
+    op_b_inv = _product(b4, _block(b1, g_up_inv, total),
+                        _block(b3, g_lo_inv, total)[:, :size])
+    block = _product(b1, y, op_b_inv)
 
-    det = _lu_determinant(block)
+    det = _lu_determinant(block, b3)
     if not cmath.isfinite(det):
         raise DomainError("determinant is not finite")
     return det

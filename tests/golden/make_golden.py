@@ -92,7 +92,7 @@ def _torsion_response(index):
     """A random exact sequence; odd instances also carry random bases."""
     rng = child_rng(_SEED, index)
     cpx = random_exact_sequence(rng, max_len=5, max_rank=3)
-    spaces = cpx.dims_by_degree[::-1]
+    spaces = [cpx.dim(k) for k in range(cpx.length + 1)][::-1]
     payload = {"spaces": spaces,
                "differentials": [_entries(cpx.differential(k))
                                  for k in range(cpx.length, 0, -1)]}

@@ -159,7 +159,7 @@ def test_blocked_lu_matches_reference(n):
     block = (rng.standard_normal((n, n))
              + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
     expected = reference_lu_determinant(block)
-    value = _lu_determinant(block)
+    value = _lu_determinant(block, np.empty(n * n, dtype=complex))
     assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
@@ -191,7 +191,7 @@ def test_blocked_lu_exact_with_tied_pivots(n):
     exact = complex(np.prod(np.diag(upper)))
     block = lower @ upper
     assert reference_lu_determinant(block) == exact
-    assert _lu_determinant(block) == exact
+    assert _lu_determinant(block, np.empty(n * n, dtype=complex)) == exact
 
 
 @pytest.mark.parametrize("n", [2, 5, 33, 70])
@@ -207,7 +207,7 @@ def test_blocked_lu_exact_with_row_swaps(n):
     exact = (-1) ** inversions * complex(np.prod(np.diag(upper)))
     block = (lower @ upper)[perm]
     assert reference_lu_determinant(block) == exact
-    assert _lu_determinant(block) == exact
+    assert _lu_determinant(block, np.empty(n * n, dtype=complex)) == exact
 
 
 def test_blocked_lu_rejects_rank_deficient_block():
@@ -215,7 +215,7 @@ def test_blocked_lu_rejects_rank_deficient_block():
     block = rng.standard_normal((40, 40)) + 0j
     block[:, 35] = block[:, 3] - 2 * block[:, 17]
     with pytest.raises(DomainError, match="truncation unstable"):
-        _lu_determinant(block)
+        _lu_determinant(block, np.empty(40 * 40, dtype=complex))
 
 
 @pytest.mark.parametrize("where", [(0, 0), (5, 20), (39, 39), (20, 5)])
@@ -223,7 +223,7 @@ def test_blocked_lu_rejects_nan(where):
     block = np.eye(40, dtype=complex) * 2
     block[where] = complex("nan")
     with pytest.raises(DomainError, match="truncation unstable"):
-        _lu_determinant(block)
+        _lu_determinant(block, np.empty(40 * 40, dtype=complex))
 
 
 # -- the numeric path against the full-size reference -------------------------
@@ -350,16 +350,20 @@ def test_exp_pair_matches_two_reference_series():
 def test_numeric_path_matches_the_full_size_reference():
     # Restricting the products to the rows and columns the determinant
     # reads, one series per +- pair and the LU in place change no bit.
+    # At n = 256 the LU has eight panels, and its scratch takes seven
+    # trailing updates in turn; that size runs on the corpus and on the
+    # first random pair of span 2.
     rng = random.Random(1515)
     pairs = list(NUMERIC_CORPUS)
     for i in range(21):
         span = 1 + i % 3
         pairs.append((random_trig_poly(rng, span, 1.5),
                       random_trig_poly(rng, span, 1.5)))
-    for f, g in pairs:
+    for index, (f, g) in enumerate(pairs):
         factors = reference_factors(f, g)
         span = significant_span(f, g)
-        for n in (16, 32, 64, 128):
+        eight_panels = (256,) if index in (0, 1, 2, 4) else ()
+        for n in (16, 32, 64, 128) + eight_panels:
             for buffer in (None, 2 * span + 3):
                 value = numeric_det_invariant(f, g, n, buffer)
                 assert bits(value) == bits(
@@ -474,7 +478,7 @@ def test_threads_keep_their_own_buffers():
                     reason="counts minor page faults with getrusage")
 def test_repeated_request_makes_no_page_faults():
     # The eight Toeplitz blocks and the seven products all go into the
-    # thread's five buffers, so a repeated request writes only into memory
+    # thread's four buffers, so a repeated request writes only into memory
     # the first one left.  Blocks allocated per request would fault again
     # whenever the C allocator trims its heap.
     import resource
@@ -485,6 +489,25 @@ def test_repeated_request_makes_no_page_faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     numeric_det_invariant(f, g, 256)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def test_repeated_request_allocates_no_matrix():
+    # A repeated request writes its blocks, its products and the LU's
+    # trailing updates into the thread's four buffers.  The largest
+    # trailing update at n = 256 alone would take (256 - 32)^2 complex
+    # entries, 784 KiB.
+    import tracemalloc
+
+    f, g = NUMERIC_CORPUS[1]
+    numeric_det_invariant(f, g, 256)
+    tracemalloc.start()
+    try:
+        numeric_det_invariant(f, g, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert len(fredholm._per_thread.bufs) == 4
 
 
 # -- the buffer ---------------------------------------------------------------

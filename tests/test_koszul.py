@@ -61,15 +61,17 @@ def test_quad_matches_koszul_for_commuting_pair():
 def test_eps_dims_for_zero_quadruple():
     q = KoszulQuadruple(ZERO1, ZERO1, ZERO1, ZERO1)
     eps_ad, eps_bc = build_eps_sequences(q)
-    assert eps_ad.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
-    assert eps_bc.dims_by_degree == [1, 1, 1, 2, 1, 1, 1][::-1]
+    assert ([eps_ad.dim(k) for k in range(eps_ad.length + 1)]
+            == [1, 1, 1, 2, 1, 1, 1][::-1])
+    assert ([eps_bc.dim(k) for k in range(eps_bc.length + 1)]
+            == [1, 1, 1, 2, 1, 1, 1][::-1])
 
 
 def test_eps_all_zero_for_invertible_quadruple():
     q = KoszulQuadruple(ONE1, ONE1, ONE1, ONE1)
     eps_ad, eps_bc = build_eps_sequences(q)
-    assert all(d == 0 for d in eps_ad.dims_by_degree)
-    assert all(d == 0 for d in eps_bc.dims_by_degree)
+    assert all(eps_ad.dim(k) == 0 for k in range(eps_ad.length + 1))
+    assert all(eps_bc.dim(k) == 0 for k in range(eps_bc.length + 1))
 
 
 def test_eps_recovers_commuting_pair_sequences():
@@ -78,8 +80,10 @@ def test_eps_recovers_commuting_pair_sequences():
     q = KoszulQuadruple(a, b, b, a)
     eps_ad, eps_bc = build_eps_sequences(q)
     # spaces: H2, ker B, ker B, H1, coker B, coker B, H0 (and with A swapped in)
-    assert eps_ad.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
-    assert eps_bc.dims_by_degree[::-1] == [0, 1, 1, 0, 1, 1, 0]
+    assert ([eps_ad.dim(k) for k in range(eps_ad.length + 1)][::-1]
+            == [0, 1, 1, 0, 1, 1, 0])
+    assert ([eps_bc.dim(k) for k in range(eps_bc.length + 1)][::-1]
+            == [0, 1, 1, 0, 1, 1, 0])
     # the middle isomorphisms are multiplication by the eigenvalues 2 and 3
     assert eps_ad.differential(5) == mat([[2]])
     assert eps_ad.differential(2) == mat([[2]])
@@ -261,7 +265,7 @@ def test_graded_determinant_pseudoinverse_choice_irrelevant():
               if seq.dim(k) else ExactMatrix.identity(0)
               for k in range(n, -1, -1)]
         rebased = BasedExactSequence(
-            seq.dims_by_degree[::-1],
+            [seq.dim(k) for k in range(seq.length + 1)][::-1],
             [seq.differential(k) for k in range(n, 0, -1)], gs)
         assert graded_determinant(rebased) == torsion_scalar(rebased)
 

@@ -2,8 +2,11 @@
 there, every name the benchmark's tracer wraps or reads still exists in
 the package, so that a traced run (``--trace 1``) cannot break silently
 when a name is deleted or renamed, every ``rref`` result keeps a part the
-tracer reads, README's list of suites is the package's, and every name
-README says the package computes is one it exports.
+tracer reads, README's list of suites is the package's, every name
+README says the package computes is one it exports, and every function,
+method and class the package defines is named outside its own definition
+somewhere in ``src/``, ``benchmark/`` or README (a name only the tests
+read is dead API).
 
 ``benchmark/tracing.py`` is only read here, never imported: its name tables
 are plain literals, and the scalar attributes it reads are found in its
@@ -189,3 +192,59 @@ def test_every_imported_name_is_read():
     for name in names:
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             assert unused_imports(fh.read()) == [], name
+
+
+def unnamed_definitions(texts: dict, defining: list) -> list:
+    """The functions, methods and classes (dunders excepted) defined in the
+    files ``defining`` whose name appears in no text of ``texts`` (path to
+    source) once the lines of their own definition are left out."""
+    unnamed = []
+    for path in defining:
+        lines = texts[path].splitlines()
+        for node in ast.walk(ast.parse(texts[path])):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or re.fullmatch(r"__\w+__", node.name)):
+                continue
+            start = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            own = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(own if other == path else text)
+                       for other, text in texts.items()):
+                unnamed.append(node.name)
+    return unnamed
+
+
+def test_unnamed_definition_finder_leaves_out_only_the_definition():
+    texts = {"a.py": ("def used():\n"
+                      "    return used_elsewhere()\n"
+                      "class Lone:\n"
+                      "    @property\n"
+                      "    def lone(self):\n"
+                      "        return self\n"
+                      "    def __len__(self):\n"
+                      "        return 0\n"
+                      "def recursive(n):\n"
+                      "    return recursive(n - 1)\n"),
+             "b.py": "def used_elsewhere():\n    pass\n",
+             "README.md": "`used` and `Lone`"}
+    assert sorted(unnamed_definitions(texts, ["a.py", "b.py"])) == [
+        "lone", "recursive"]
+
+
+def test_every_definition_is_named_outside_the_tests():
+    texts = {}
+    for top in ("src", "benchmark"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith((".py", ".md")):
+                    path = os.path.join(folder, name)
+                    with open(path, encoding="utf-8") as fh:
+                        texts[path] = fh.read()
+    with open(README, encoding="utf-8") as fh:
+        texts[README] = fh.read()
+    defining = sorted(os.path.join(PACKAGE, name)
+                      for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert os.path.join(PACKAGE, "linalg.py") in defining
+    assert unnamed_definitions(texts, defining) == []
