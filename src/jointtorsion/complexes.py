@@ -73,7 +73,7 @@ class ChainComplexSpec:
                                   f"{d.rows}x{d.cols}, expected "
                                   f"{self._dims[k - 1]}x{self._dims[k]}")
         for k in range(1, self.length):
-            if not (self._diffs[k - 1] * self._diffs[k]).is_zero():
+            if not self._diffs[k - 1].kills(self._diffs[k]):
                 raise DomainError("differentials do not compose to zero")
 
     def _check_degree(self, k: int, top: int) -> None:

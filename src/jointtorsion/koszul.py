@@ -155,19 +155,18 @@ def kappa(op: ExactMatrix) -> int:
     return (op.cols - r) * r
 
 
-def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases=None) -> QiScalar:
+def perturbation_sigma(a: ExactMatrix, d: ExactMatrix, bases) -> QiScalar:
     """The finite dimensional perturbation scalar of two operators.
 
     Both operators act on the same space; the scalar is
     (-1)^(kappa(a)+kappa(d)) tau(seq_a) / tau(seq_d) where seq_x is the
     four-term sequence 0 -> ker x -> H -> H -> coker x -> 0 based by the
-    supplied (or deterministic) kernel/cokernel bases and the standard
-    ambient basis.  For a = d the factors cancel and the result is 1.
+    four spaces ``bases`` = (ker a, coker a, ker d, coker d) and the
+    standard ambient basis.  For a = d with the same spaces the factors
+    cancel and the result is 1.
     """
     if a.rows != a.cols or d.rows != d.cols or a.rows != d.rows:
         raise DomainError("shape mismatch")
-    if bases is None:
-        bases = _kernel_cokernel(a) + _kernel_cokernel(d)
     ker_a, coker_a, ker_d, coker_d = bases
     tau_a = torsion_scalar(_four_term_sequence(a, ker_a, coker_a))
     tau_d = torsion_scalar(_four_term_sequence(d, ker_d, coker_d))

@@ -26,14 +26,19 @@ selection is built only to be eliminated.
 Every subquotient (kernel, cokernel, homology space) is a homology space
 ker f / im g, represented by explicit matrices: the cycle map f, a boundary
 basis, a representative basis whose classes form a basis of the quotient,
-and a projection onto coordinates in that basis.  A product decides
-whether im g lies in ker f.  Beyond the forward passes of f and g, one
-elimination of the boundaries in cycle coordinates picks the
-representatives and gives the projection, and one pass builds the
+and a projection onto coordinates in that basis.  Whether im g lies in
+ker f is a zero test of the product f * im g.  Beyond the forward passes
+of f and g, one elimination of the boundaries in cycle coordinates picks
+the representatives and gives the projection, and one pass builds the
 representatives' kernel vectors alone.  Induced maps on subquotients are
 then ordinary matrix products, and whether a map descends is checked
 exactly by products with the cycle map and the projection, without
 eliminating.
+
+Every zero test of a product is ``ExactMatrix.kills``: d_k d_{k+1} = 0 in
+a complex, im g in ker f in a subquotient and the descent of an induced
+map.  It forms no product with no rows, no inner dimension or no
+columns: such a product is zero, so no test of it can fail.
 """
 
 from __future__ import annotations
@@ -248,9 +253,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -289,8 +291,6 @@ class ExactMatrix:
             raise DomainError(f"shape mismatch {self.rows}x{self.cols} * "
                               f"{other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        if not (n and k and m):
-            return ExactMatrix(n, m, [ZERO] * (n * m))
         a, b = self.entries, other.entries
         out = []
         for i in range(n):
@@ -304,6 +304,16 @@ class ExactMatrix:
                     acc = acc + x * b[t * m + j]
                 out.append(acc)
         return ExactMatrix(n, m, out)
+
+    def kills(self, other: "ExactMatrix") -> bool:
+        """Whether self * other is zero: the one zero test of a product.
+
+        A product with no rows, no inner dimension or no columns is zero,
+        and is not formed; any other product, and a pair whose shapes do
+        not match, goes through ``*``."""
+        if self.cols == other.rows and 0 in (self.rows, self.cols, other.cols):
+            return True
+        return not any((self * other).entries)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
@@ -523,10 +533,6 @@ class Subquotient:
         self.project_map = project_map
 
     @property
-    def ambient_dim(self) -> int:
-        return self.cycle_map.cols
-
-    @property
     def dim(self) -> int:
         return self.rep_basis.cols
 
@@ -558,7 +564,7 @@ def build_subquotient(f: ExactMatrix, g: ExactMatrix) -> Subquotient:
     if g.rows != f.cols:
         raise DomainError("ambient dimension mismatch")
     boundaries = g.image_basis()
-    if not (f * boundaries).is_zero():
+    if not f.kills(boundaries):
         raise DomainError("not a subquotient")
     n, nb, pivot_set = f.cols, boundaries.cols, set(f.rref().pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -577,14 +583,20 @@ def induced_map(m: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatr
     boundaries, otherwise the induced map does not exist.  The source
     cycles are spanned by its boundaries and representatives, so that holds
     exactly when dst's cycle map kills the images of both and dst's
-    projection kills the image of the boundaries.
+    projection kills the image of the boundaries.  An image with no columns
+    is not formed, since nothing can fail on it, and a result with no rows
+    or no columns is built without a product.
     """
-    if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
+    if m.cols != src.cycle_map.cols or m.rows != dst.cycle_map.cols:
         raise DomainError("ambient shape mismatch")
-    image = m * src.rep_basis
-    moved = m * src.boundary_basis
-    if not ((dst.cycle_map * image).is_zero()
-            and (dst.cycle_map * moved).is_zero()
-            and (dst.project_map * moved).is_zero()):
-        raise DomainError("map does not descend")
+    if src.dim:
+        image = m * src.rep_basis
+        if not dst.cycle_map.kills(image):
+            raise DomainError("map does not descend")
+    if src.boundary_basis.cols:
+        moved = m * src.boundary_basis
+        if not (dst.cycle_map.kills(moved) and dst.project_map.kills(moved)):
+            raise DomainError("map does not descend")
+    if not (src.dim and dst.dim):
+        return ExactMatrix(dst.dim, src.dim, ())
     return dst.project_map * image

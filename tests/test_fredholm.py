@@ -370,6 +370,46 @@ def test_numeric_path_matches_the_full_size_reference():
                     reference_numeric_det(factors, n, buffer))
 
 
+# -- claim 2: only the images modulo trace class matter ----------------------
+
+def other_order_dets(f, g, size, total):
+    """det of the leading size x size block of A' B A^-1 B^-1 at full size
+    total, with A' = T(e^{f_0+f_+}) T(e^{f_-}), the Wiener-Hopf factors of
+    T_{e^f} in the other order, and B = T_{e^g}: first with A^-1 the
+    inverse of A', then with A^-1 the inverse of T_{e^f}."""
+    f_lo, f_up, f_lo_inv, f_up_inv, g_lo, g_up, g_lo_inv, g_up_inv = (
+        reference_toeplitz(coeffs, total)
+        for coeffs in reference_factors(f, g))
+    head, tail = (f_up @ f_lo) @ (g_lo @ g_up), g_up_inv @ g_lo_inv
+    return tuple(np.linalg.det((head @ a_inv @ tail)[:size, :size])
+                 for a_inv in (f_lo_inv @ f_up_inv, f_up_inv @ f_lo_inv))
+
+
+def test_determinant_invariant_sees_only_images_modulo_trace_class():
+    # The paper's second claim on the model: A' differs from T_{e^f} by a
+    # Hankel product, which is trace class, and has the exact inverse
+    # T(e^{-f_-}) T(e^{-f_0-f_+}), so det(A' B A'^-1 B^-1) is the
+    # determinant invariant.  Each f has nonzero f_- and f_+, else A' is
+    # T_{e^f} and nothing is checked (corpus pairs 0 and 2 have no f_-).
+    # At N = 96 and M = 200 the matched inverse came within a relative
+    # 7.6e-13 of the closed form on these nine pairs, and T_{e^f}'s inverse
+    # missed by a relative 0.46 to 17 (by 4.67 against e^2 on corpus
+    # pair 1).
+    rng = random.Random(1516)
+    pairs = [NUMERIC_CORPUS[1]]
+    while len(pairs) < 9:
+        span = 1 + len(pairs) % 3
+        f = random_trig_poly(rng, span, 1.0)
+        g = random_trig_poly(rng, span, 1.0)
+        if min(f.coeffs, default=0) < 0 < max(f.coeffs, default=0):
+            pairs.append((f, g))
+    for f, g in pairs:
+        target = closed_form_di(f, g)
+        matched, mismatched = other_order_dets(f, g, 96, 200)
+        assert abs(matched - target) <= 1e-10 * abs(target)
+        assert abs(mismatched - target) >= 1e-2 * abs(target)
+
+
 # -- the product buffers ---------------------------------------------------------
 
 def _in_new_thread(fn):

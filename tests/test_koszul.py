@@ -12,12 +12,12 @@ from jointtorsion import (BasedExactSequence, DomainError, ExactMatrix,
                           joint_torsion_quad, perturbation_sigma,
                           pseudoinv_formula, torsion_scalar)
 from jointtorsion import complexes, koszul, linalg
-from jointtorsion.koszul import QuadHomology
+from jointtorsion.koszul import QuadHomology, _kernel_cokernel
 from jointtorsion.randgen import (child_rng, random_commuting_pair,
                                   random_exact_sequence, random_invertible,
                                   random_quadruple, random_singular_d_quadruple,
                                   random_singularized)
-from test_linalg import reference_subquotient
+from test_linalg import record_calls, reference_subquotient
 
 
 def mat(rows):
@@ -93,25 +93,31 @@ def test_eps_recovers_commuting_pair_sequences():
 
 # -- perturbation scalars ----------------------------------------------------
 
+def sigma(a, d):
+    """perturbation_sigma of a and d based by their own kernels and
+    cokernels."""
+    return perturbation_sigma(a, d, _kernel_cokernel(a) + _kernel_cokernel(d))
+
+
 def test_sigma_equal_operators_is_one():
     rng = child_rng(17, 1)
     for _ in range(10):
         n = rng.randint(1, 4)
         a = random_singularized(rng, n)
-        assert perturbation_sigma(a, a) == QiScalar(1)
+        assert sigma(a, a) == QiScalar(1)
 
 
 def test_sigma_invertible_scalars():
-    assert perturbation_sigma(mat([[2]]), mat([[3]])) == QiScalar(3, 0, 2)
+    assert sigma(mat([[2]]), mat([[3]])) == QiScalar(3, 0, 2)
 
 
 def test_sigma_zero_operators():
-    assert perturbation_sigma(ZERO1, ZERO1) == QiScalar(1)
+    assert sigma(ZERO1, ZERO1) == QiScalar(1)
 
 
 def test_sigma_shape_mismatch():
     with pytest.raises(DomainError, match="shape mismatch"):
-        perturbation_sigma(ZERO1, ExactMatrix.identity(2))
+        sigma(ZERO1, ExactMatrix.identity(2))
 
 
 def test_sigma_direct_sum_multiplicative():
@@ -124,8 +130,7 @@ def test_sigma_direct_sum_multiplicative():
         bottom = ExactMatrix.zero(n2, n1)
         a = a1.hstack(top).vstack(bottom.hstack(a2))
         d = d1.hstack(top).vstack(bottom.hstack(d2))
-        assert perturbation_sigma(a, d) == (perturbation_sigma(a1, d1)
-                                            * perturbation_sigma(a2, d2))
+        assert sigma(a, d) == sigma(a1, d1) * sigma(a2, d2)
 
 
 # -- joint torsion -----------------------------------------------------------
@@ -231,14 +236,7 @@ def test_joint_torsion_pair_rejects_noncommuting():
 def test_pair_commutation_is_the_quadruple_check(monkeypatch):
     # AB = BA is the AB = CD check of the quadruple (A, B, B, A), one
     # product of its quad complex; no commutator is formed beside it
-    products = []
-    multiply = ExactMatrix.__mul__
-
-    def counted(x, y):
-        products.append(1)
-        return multiply(x, y)
-
-    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    products = record_calls(monkeypatch, "__mul__", ExactMatrix)
     with pytest.raises(DomainError, match="^operators do not commute$"):
         joint_torsion_pair(mat([[0, 1], [0, 0]]), mat([[0, 0], [1, 0]]))
     assert len(products) == 1
@@ -334,15 +332,7 @@ def test_factorization_identities_random():
     ("quad-conjugate", 22), ("quad-slide", 22),
 ])
 def test_factorization_builds_each_space_once(monkeypatch, which, builds):
-    calls = []
-    build = linalg.build_subquotient
-
-    def counted(f, g):
-        calls.append((f, g))
-        return build(f, g)
-
-    for mod in (complexes, koszul):
-        monkeypatch.setattr(mod, "build_subquotient", counted)
+    calls = record_calls(monkeypatch, "build_subquotient", complexes, koszul)
     rng = child_rng(17, 15)
     q = random_quadruple(rng, 3)
     u = random_invertible(rng, 3, mag=2)
@@ -441,26 +431,17 @@ def count_eliminations(monkeypatch, q):
     """_fraction_free calls of one joint_torsion_quad on fresh matrices, as
     (forward passes, Jordan passes)."""
     q = KoszulQuadruple(*(fresh_copy(m) for m in (q.a, q.b, q.c, q.d)))
-    calls = []
-    kernel = linalg._fraction_free
-
-    def counted(rows, slots, cols, top):
-        calls.append(top < len(rows))
-        return kernel(rows, slots, cols, top)
-
-    monkeypatch.setattr(linalg, "_fraction_free", counted)
+    calls = record_calls(monkeypatch, "_fraction_free", linalg,
+                         key=lambda rows, slots, cols, top: top < len(rows))
     assert joint_torsion_quad(q).value == QiScalar(1)
     return calls.count(False), calls.count(True)
 
 
 def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
-    # One elimination per subquotient beyond the reductions of its f and g,
-    # with containment decided by the product f * boundaries and descent
-    # checked by products, and no elimination of a torsion's zero end maps.  The three-elimination
-    # construction with hand-built H2, H1 and H0 took 144 on this
-    # quadruple, span tests for descent and containment 122, a
-    # containment check by a second elimination 87, and a Gauss-Jordan pass
-    # for every rank and a separate determinant elimination 71 (41 Jordan).
+    # At most 60 passes, 16 of them Gauss-Jordan: one elimination per
+    # subquotient beyond the reductions of its f and g, with containment
+    # and descent decided by zero tests of products, and no elimination of
+    # a torsion's zero end maps.
     q = random_singular_d_quadruple(child_rng(29, 1000), 4)
     forward, jordan = count_eliminations(monkeypatch, q)
     assert forward + jordan <= 60
@@ -468,9 +449,7 @@ def test_elimination_count_of_a_dim4_quadruple(monkeypatch):
 
 
 def test_elimination_count_of_a_dim6_quadruple(monkeypatch):
-    # 120 with span tests for descent and containment, 87 with a second
-    # elimination for containment, 71 (41 Jordan) with a Gauss-Jordan pass
-    # for every rank.
+    # the same bound of 60 passes, 16 of them Gauss-Jordan, at dim 6
     q = random_quadruple(child_rng(1, 0), 6)
     forward, jordan = count_eliminations(monkeypatch, q)
     assert forward + jordan <= 60
@@ -478,39 +457,44 @@ def test_elimination_count_of_a_dim6_quadruple(monkeypatch):
 
 
 def test_no_matrix_is_built_only_to_be_eliminated(monkeypatch):
-    # The elimination kernel takes rows, so no identity, stacked or
-    # column-selected matrix is built only to be cleared, and a torsion
-    # fetches no zero-shaped end map it does not read.  With those matrices
-    # this quadruple built 207 and the two-term torsion one zero-shaped map.
+    # At most 111 constructions in this quadruple, 26 of them zero-shaped:
+    # the elimination kernel takes rows, so no identity, stacked or
+    # column-selected matrix is built only to be cleared, no zero test
+    # forms an empty product, and a torsion fetches no zero-shaped end map
+    # it does not read.
     q = random_quadruple(child_rng(1, 0), 6)
-    fresh = KoszulQuadruple(*(ExactMatrix(m.rows, m.cols, m.entries)
-                              for m in (q.a, q.b, q.c, q.d)))
+    fresh = KoszulQuadruple(*(fresh_copy(m) for m in (q.a, q.b, q.c, q.d)))
     seq = BasedExactSequence([2, 2], [mat([[1, 2], [3, 4]])])
-    shapes = []
-    init = ExactMatrix.__init__
-
-    def counted(self, rows, cols, entries):
-        shapes.append((rows, cols))
-        init(self, rows, cols, entries)
-
-    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    shapes = record_calls(monkeypatch, "__init__", ExactMatrix,
+                          key=lambda self, rows, cols, entries: (rows, cols))
     assert joint_torsion_quad(fresh).value == QiScalar(1)
-    assert len(shapes) <= 167
+    assert len(shapes) <= 111
+    assert len([s for s in shapes if 0 in s]) <= 26
     shapes.clear()
     assert torsion_scalar(seq) == QiScalar(-2)
     assert [s for s in shapes if 0 in s] == []
 
 
+@pytest.mark.parametrize("family", [random_quadruple,
+                                    random_singular_d_quadruple])
+def test_no_product_with_an_empty_dimension(monkeypatch, family):
+    # A product with no rows, no inner dimension or no columns is zero, so
+    # no zero test of it can fail: ExactMatrix.kills does not form one, and
+    # induced_map forms no image of an empty basis and no empty result.
+    quads = [family(child_rng(41, 10 * dim + index), dim)
+             for dim in range(7) for index in range(3 if dim < 6 else 10)]
+    products = record_calls(monkeypatch, "__mul__", ExactMatrix,
+                            key=lambda x, y: (x.rows, x.cols, y.cols))
+    for q in quads:
+        built = KoszulQuadruple(q.a, q.b, q.c, q.d)
+        assert joint_torsion_quad(built).value == QiScalar(1)
+    assert products
+    assert [shape for shape in products if 0 in shape] == []
+
+
 def test_quadruple_checks_ab_equals_cd_by_one_product(monkeypatch):
     q = random_quadruple(child_rng(29, 2000), 3)
-    products = []
-    multiply = ExactMatrix.__mul__
-
-    def counted(x, y):
-        products.append(1)
-        return multiply(x, y)
-
-    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    products = record_calls(monkeypatch, "__mul__", ExactMatrix)
     built = KoszulQuadruple(q.a, q.b, q.c, q.d)
     assert len(products) == 1
     assert built.complex.differential(2) == (-q.b).vstack(q.d)

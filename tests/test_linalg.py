@@ -21,6 +21,28 @@ def mat(rows):
     return ExactMatrix.from_rows(rows)
 
 
+def is_zero(m):
+    """Every entry of m is zero: the reference ``ExactMatrix.kills`` is
+    held to, read off a formed product."""
+    return all(e.is_zero() for e in m.entries)
+
+
+def record_calls(monkeypatch, name, *owners, key=lambda *args: args):
+    """The calls of ``name`` on each of ``owners`` from here on, each
+    recorded as key(*args), in one list: the counter behind the gates on
+    constructions, products, eliminations and builds."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args):
+        calls.append(key(*args))
+        return original(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def kernel_of(m):
     """ker m = ker m / im (0 -> domain)."""
     return build_subquotient(m, ExactMatrix.zero(m.cols, 0))
@@ -56,7 +78,7 @@ def test_subspace_bases_rank_one():
     kernel, image = m.kernel_basis(), m.image_basis()
     assert kernel == mat([[-2], [1]])
     assert image == mat([[1], [2]])
-    assert (m * kernel).is_zero()
+    assert is_zero(m * kernel)
 
 
 def test_subspace_bases_identity_and_zero():
@@ -75,7 +97,7 @@ def test_kernel_image_ranks_on_randoms():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), mag=3)
         kernel, image = m.kernel_basis(), m.image_basis()
-        assert (m * kernel).is_zero()
+        assert is_zero(m * kernel)
         assert kernel.cols + image.cols == m.cols
         assert image.rank() == image.cols
 
@@ -255,7 +277,7 @@ def test_kernel_basis_eliminates_the_matrix_without_an_identity(monkeypatch):
     monkeypatch.setattr(linalg, "_cleared_rows", recorded)
     kernel = m.kernel_basis()
     assert shapes == [(4, 6), (4, 6)]
-    assert kernel.cols == 4 and (m * kernel).is_zero()
+    assert kernel.cols == 4 and is_zero(m * kernel)
 
 
 def test_subquotient_projection_section_identity():
@@ -265,7 +287,7 @@ def test_subquotient_projection_section_identity():
         m = random_singularized(rng, n, mag=3)
         sq = cokernel_of(m)
         assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
-        assert (sq.project_map * sq.boundary_basis).is_zero()
+        assert is_zero(sq.project_map * sq.boundary_basis)
 
 
 def test_induced_map_on_kernel():
@@ -598,15 +620,15 @@ def assert_subquotient_matches_reference(f, g):
     assert got == subquotient_outcome(f, g, referenced)
     if isinstance(got, str):
         assert got == "not a subquotient"
-        assert not (f * g).is_zero()
+        assert not is_zero(f * g)
         return
     n = f.cols
     sq = build_subquotient(f, g)
     assert sq.cycle_map == f
     assert sq.boundary_basis == g.image_basis()
     assert sq.project_map * sq.rep_basis == ExactMatrix.identity(sq.dim)
-    assert (sq.cycle_map * sq.rep_basis).is_zero()
-    assert (sq.project_map * g).is_zero()
+    assert is_zero(sq.cycle_map * sq.rep_basis)
+    assert is_zero(sq.project_map * g)
     # ker f is the cycle space and ker (f; project_map) the boundary space
     assert sq.cycle_map.rank() == n - f.kernel_basis().cols
     stacked = sq.cycle_map.vstack(sq.project_map)
@@ -661,7 +683,7 @@ def test_subquotient_matches_reference_on_seeded_pairs():
             if rng.random() < 0.25:
                 # a boundary outside the cycles, unless f kills it anyway
                 g = g.hstack(random_matrix(rng, n, 1, mag=3))
-                raised += not (f * g).is_zero()
+                raised += not is_zero(f * g)
             assert_subquotient_matches_reference(f, g)
     assert raised
 
@@ -705,7 +727,7 @@ def test_subquotient_rejects_non_contained_pair_like_reference():
 def reference_induced_map(m, src, dst):
     """The induced map with its descent checked by two span tests, one
     elimination each, in place of products with dst's stored maps."""
-    if m.cols != src.ambient_dim or m.rows != dst.ambient_dim:
+    if m.cols != src.cycle_map.cols or m.rows != dst.cycle_map.cols:
         raise DomainError("ambient shape mismatch")
     if not in_span(dst.cycle_map.kernel_basis(),
                    m * src.cycle_map.kernel_basis()):
@@ -785,7 +807,7 @@ def test_descent_cases_cover_both_outcomes():
             outcomes["raises"] += 1
         else:
             outcomes["descends"] += 1
-            outcomes["nonzero map"] += not got.is_zero()
+            outcomes["nonzero map"] += not is_zero(got)
     assert min(outcomes.values()) >= 30, outcomes
 
 
@@ -864,3 +886,48 @@ def test_empty_shapes_read_as_before(kernel_calls, rows, cols):
     assert m.pseudoinverse() == ExactMatrix.zero(cols, rows)
     assert kernel_calls == []
     assert_matches_reference(m)
+
+
+# -- the one zero test of a product ----------------------------------------------
+
+PRODUCT_SHAPES = [(n, k, m) for n in range(3) for k in range(3)
+                  for m in range(3)]
+
+
+@pytest.mark.parametrize("n, k, m", PRODUCT_SHAPES)
+def test_zero_test_agrees_with_the_formed_product(monkeypatch, n, k, m):
+    # x.kills(y) says whether x * y is zero.  With no rows, no inner
+    # dimension or no columns it forms no product, and the product it
+    # leaves out is zeros of shape n x m; any other product it forms once.
+    # Odd trials draw y inside ker x, so both outcomes occur.
+    rng = child_rng(37, 9 * n + 3 * k + m)
+    pairs = []
+    for trial in range(10):
+        x = random_matrix(rng, n, k, mag=2)
+        if trial % 2:
+            kernel = x.kernel_basis()
+            y = kernel * random_matrix(rng, kernel.cols, m, mag=2)
+        else:
+            y = random_matrix(rng, k, m, mag=2)
+        pairs.append((x, y, x * y))
+    formed = record_calls(monkeypatch, "__mul__", ExactMatrix,
+                          key=lambda x, y: (x.rows, x.cols, y.cols))
+    empty = 0 in (n, k, m)
+    for x, y, product in pairs:
+        assert (product.rows, product.cols) == (n, m)
+        if empty:
+            assert product == ExactMatrix.zero(n, m)
+        assert x.kills(y) == is_zero(product)
+    assert formed == ([] if empty else [(n, k, m)] * len(pairs))
+    outcomes = {is_zero(product) for _, _, product in pairs}
+    assert outcomes == ({True} if empty else {True, False})
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((0, 2), (3, 1)), ((2, 0), (1, 2)), ((2, 3), (0, 2)), ((0, 0), (1, 0)),
+    ((2, 2), (3, 2))])
+def test_zero_test_rejects_mismatched_shapes(x_shape, y_shape):
+    x, y = ExactMatrix.zero(*x_shape), ExactMatrix.zero(*y_shape)
+    for test in (x.kills, x.__mul__):
+        with pytest.raises(DomainError, match="^shape mismatch"):
+            test(y)

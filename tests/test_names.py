@@ -153,6 +153,38 @@ def test_readme_lists_every_suite():
     assert re.findall(r"`([^`]+)`", listing) == list(SUITES)
 
 
+def test_every_name_in_the_claim_map_exists():
+    # each backticked name in README's map of the paper's claims is a
+    # suite, a mutant of test_conventions, a public name of the package, a
+    # file, or a test in a file as file::test
+    from test_conventions import MUTANTS
+
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("## The paper's claims and their checks")
+    section = text[start:text.index("\n## ", start + 1)]
+    mutants = {m[0] for m in MUTANTS}
+    kinds = set()
+    for name in re.findall(r"`([^`]+)`", section):
+        path, _, test = name.partition("::")
+        if name in SUITES:
+            kinds.add("suite")
+        elif name in mutants:
+            kinds.add("mutant")
+        elif hasattr(jointtorsion, name):
+            kinds.add("name")
+        elif os.path.isfile(os.path.join(ROOT, path)):
+            kinds.add("file")
+            if test:
+                with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                assert test in {node.name for node in tree.body
+                                if isinstance(node, ast.FunctionDef)}, name
+        else:
+            pytest.fail(f"README's claim map names {name!r}")
+    assert kinds == {"suite", "mutant", "name", "file"}
+
+
 def unused_imports(source: str) -> list:
     """The names ``source`` imports and never reads.  A name read only in
     an annotation, quoted or not, counts as read; ``__future__`` imports
