@@ -75,9 +75,9 @@ _MAX_SPACES_TOTAL = 128
 _MAX_ROOTS = 12
 _MAX_SYMBOL_TEXT = 12
 
-# numeric-convergence, the costliest suite per instance, took 4.1 s at
-# count 200 on a 2-vCPU machine, so about 8 s at the cap; the acceptance
-# criteria run at most 250 instances.
+# numeric-convergence, the costliest suite per instance, took 1.8-2.1 s at
+# count 200 and 3.4-3.5 s at the cap on a 2-vCPU machine (seed 0, the
+# whole process); the acceptance criteria run at most 250 instances.
 _MAX_SUITE_COUNT = 400
 
 # A trig coefficient's degree key: 0 or a signed integer in ASCII digits

@@ -37,10 +37,22 @@ series are summed when, for f or for g, the product of the largest
 coefficient magnitudes of its four factors exceeds ``_MAX_GROWTH``, and
 also when the determinant is not finite.
 
-Each thread keeps four flat complex buffers of at least M^2 entries
-between requests (numpy releases the GIL inside a product, so threads may
-not share them).  Each block and product goes into a buffer whose last
-contents are dead.  ``toeplitz_matrix`` gives a read-only strided view of
+Each thread keeps two things between requests: the last pair's four
+series, and four buffers.  The numeric statement is a limit in the size, so
+callers ask for one pair at a ladder of sizes (``numeric-convergence`` at
+32, 64 and 128), and the series depend on f and g alone.  So a request
+whose f and g carry, in dict order, the degrees and the exact bits of the
+thread's last pair reads that pair's series and sums none; any other pair
+replaces them.  Bits, not values: 0.0 and -0.0 are equal, and the dict
+order fixes the order in which a series sums its terms.  The caps and the
+growth check run on every request, so a repeated request is rejected
+exactly when the first one was.  The series of a pair at both caps hold
+about 1.2 MB.
+
+The four buffers are flat and complex, of at least M^2 entries each
+(numpy releases the GIL inside a product, so threads may not share them).
+Each block and product goes into a buffer whose last contents are dead.
+``toeplitz_matrix`` gives a read-only strided view of
 a Toeplitz block, which ``_block`` copies in.  In the order they are
 formed: T_{e^{f_-}} (its first N rows) into 1, T_{e^{f_0+f_+}} into 2,
 op_a = T_{e^{f_-}} T_{e^{f_0+f_+}} (N x M) into 3; T_{e^{g_-}} into 1,
@@ -69,6 +81,7 @@ numpy is imported by the functions that use it, so importing this module
 from __future__ import annotations
 
 import cmath
+import struct
 import threading
 from typing import TYPE_CHECKING
 
@@ -273,6 +286,32 @@ def _buffers(square: int) -> tuple:
     return _per_thread.bufs
 
 
+def _bits(poly: TrigPoly) -> tuple:
+    """Each coefficient's degree and the exact bits of its two parts, in
+    dict order.  Equal values can differ in bits (0.0 and -0.0), and the
+    order fixes the order in which the series sums its terms."""
+    return tuple((k, struct.pack("dd", v.real, v.imag))
+                 for k, v in poly.coeffs.items())
+
+
+def _series(f: TrigPoly, g: TrigPoly) -> tuple:
+    """``exp_symbol_coeffs`` of f_-, f_0 + f_+, g_- and g_0 + g_+, in that
+    order.
+
+    They depend on f and g alone, and a ladder of sizes asks for one pair
+    again and again, so the thread keeps the last pair's four series, keyed
+    on the bits of f and then of g.  A request on that pair reads them
+    again; any other pair replaces them.
+    """
+    key = (_bits(f), _bits(g))
+    last = getattr(_per_thread, "series", None)
+    if last is not None and last[0] == key:
+        return last[1]
+    series = tuple(map(exp_symbol_coeffs, f.split() + g.split()))
+    _per_thread.series = (key, series)
+    return series
+
+
 def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
                           buffer: int | None = None) -> complex:
     """Determinant of the leading size x size block of the truncated
@@ -295,8 +334,8 @@ def numeric_det_invariant(f: TrigPoly, g: TrigPoly, size: int,
             raise DomainError(f"{name} has coefficient 1-norm {norm:g}, above "
                               f"the cap of {_MAX_NORM:g}")
 
-    (f_lo, f_lo_inv), (f_up, f_up_inv) = map(exp_symbol_coeffs, f.split())
-    (g_lo, g_lo_inv), (g_up, g_up_inv) = map(exp_symbol_coeffs, g.split())
+    (f_lo, f_lo_inv), (f_up, f_up_inv), (g_lo, g_lo_inv), (g_up, g_up_inv) = (
+        _series(f, g))
 
     significant = 0
     for name, sets in (("f", (f_lo, f_up, f_lo_inv, f_up_inv)),

@@ -14,13 +14,11 @@ from jointtorsion import (DomainError, TrigPoly, closed_form_di,
                           exp_symbol_coeffs, numeric_det_invariant)
 from jointtorsion import fredholm
 from jointtorsion.fredholm import _PIVOT_FLOOR, _lu_determinant
+from jointtorsion.suites import _NUMERIC_CORPUS
 
 # The three fixed pairs of the numeric-convergence suite.
-NUMERIC_CORPUS = (
-    (TrigPoly({1: 1.0}), TrigPoly({-1: 1.0})),
-    (TrigPoly({1: 1.0, -1: 1.0}), TrigPoly({1: 1.0, -1: -1.0})),
-    (TrigPoly({1: 0.5, 2: 0.25}), TrigPoly({1: -0.3})),
-)
+NUMERIC_CORPUS = tuple((TrigPoly(dict(f)), TrigPoly(dict(g)))
+                       for f, g in _NUMERIC_CORPUS)
 
 
 def reference_lu_determinant(block):
@@ -60,6 +58,40 @@ def random_trig_poly(rng, span, scale):
     return TrigPoly({k: complex(rng.uniform(-scale, scale),
                                 rng.uniform(-scale, scale))
                      for k in range(-span, span + 1) if rng.random() < 0.7})
+
+
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, which starts with no product
+    buffers and no series; its exception, if any, is raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _record_series(monkeypatch):
+    """A list that gets the calling thread's ident for every series
+    summed."""
+    series = []
+    original = fredholm.exp_symbol_coeffs
+
+    def recording(poly):
+        series.append(threading.get_ident())
+        return original(poly)
+
+    monkeypatch.setattr(fredholm, "exp_symbol_coeffs", recording)
+    return series
 
 
 def test_exp_of_zero_is_delta():
@@ -410,27 +442,49 @@ def test_determinant_invariant_sees_only_images_modulo_trace_class():
         assert abs(mismatched - target) >= 1e-2 * abs(target)
 
 
+def perturbed(f, eps, h):
+    """f + eps h, in f's dict order and then h's new degrees."""
+    degrees = list(f.coeffs) + [k for k in h.coeffs if k not in f.coeffs]
+    return TrigPoly({k: f[k] + eps * h[k] for k in degrees})
+
+
+def test_determinant_invariant_is_norm_continuous():
+    # The paper's second claim, its other half, on the model: at fixed N
+    # and buffer, D(f, g) = numeric_det_invariant(f, g, N, buffer) moves
+    # with f as the closed form does.  Along h, the closed form's
+    # derivative is closed_form_di(f, g) L with L = sum_k k h_{-k} g_k, and
+    # the difference quotient (D(f + eps h, g) - D(f, g)) / eps misses it
+    # by the second-order term, a relative eps |L| / 2 (measured 0.4998 to
+    # 0.5001 times eps |L| at eps = 1e-3 and 1e-4), so the bound is eps |L|
+    # and the miss shrinks about tenfold from 1e-3 to 1e-4.  The pairing
+    # with its indices swapped, sum_k k h_k g_{-k}, must miss by a relative
+    # 0.5 (it missed by 0.9999 to 2.08 on these seven pairs).
+    rng = random.Random(1517)
+    pairs = [NUMERIC_CORPUS[1]]
+    for i in range(6):
+        span = 1 + i % 2
+        pairs.append((random_trig_poly(rng, span, 1.0),
+                      random_trig_poly(rng, span, 1.0)))
+    for f, g in pairs:
+        h = TrigPoly({k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for k in range(-2, 3)})
+        buffer = 2 * significant_span(f, g) + 8
+        pairing = sum(k * h[-k] * gk for k, gk in g.coeffs.items())
+        swapped = sum(k * h[k] * g[-k] for k in g.coeffs)
+        derivative = closed_form_di(f, g) * pairing
+        base = numeric_det_invariant(f, g, 64, buffer)
+        misses = []
+        for eps in (1e-3, 1e-4):
+            quotient = (numeric_det_invariant(perturbed(f, eps, h), g, 64,
+                                              buffer) - base) / eps
+            misses.append(abs(quotient - derivative) / abs(derivative))
+            assert misses[-1] <= eps * abs(pairing)
+            assert (abs(quotient - closed_form_di(f, g) * swapped)
+                    >= 0.5 * abs(derivative))
+        assert misses[1] <= 0.2 * misses[0]
+
+
 # -- the product buffers ---------------------------------------------------------
-
-def _in_new_thread(fn):
-    """fn() run in a thread of its own, which starts with no product
-    buffers; its exception, if any, is raised here."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except BaseException as exc:  # re-raised in the calling thread
-            out["error"] = exc
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
 
 def _poison_column(monkeypatch, column):
     """Make the next request's last Toeplitz block NaN in one column, so
@@ -478,23 +532,33 @@ def test_buffers_carry_nothing_from_one_request_to_the_next(monkeypatch):
     assert held == [(256 + buffer) ** 2] * 4 + [(300 + buffer) ** 2] * 2
 
 
-def test_threads_keep_their_own_buffers():
+def test_threads_keep_their_own_buffers(monkeypatch):
     # numpy releases the GIL inside its products, so threads that shared
     # one set of buffers would write into each other's products.  More
-    # threads than cores, each at its own size, switching often.
-    jobs = [(NUMERIC_CORPUS[1], 256), (NUMERIC_CORPUS[2], 200),
-            (NUMERIC_CORPUS[0], 150)]
-    serial = [bits(numeric_det_invariant(f, g, n)) for (f, g), n in jobs]
+    # threads than cores, each at its own size, switching often.  Each
+    # thread also takes two corpus pairs in turn, two requests on each, so
+    # it reads its last pair's series once per turn and replaces them at
+    # the next: with the last pair kept per thread it sums 4 series per
+    # turn, and another thread's pair in between would make it sum more.
+    jobs = [((1, 2), 256), ((2, 0), 200), ((0, 1), 150)]
+    turns = 8
+    serial = {(p, n): bits(numeric_det_invariant(*NUMERIC_CORPUS[p], n))
+              for pairs, n in jobs for p in pairs}
+    series = _record_series(monkeypatch)
     start = threading.Barrier(len(jobs))
     results = [[] for _ in jobs]
+    idents = [None] * len(jobs)
     errors = []
 
     def run(i):
-        (f, g), n = jobs[i]
+        pairs, n = jobs[i]
+        idents[i] = threading.get_ident()
         start.wait()
         try:
-            for _ in range(15):
-                results[i].append(bits(numeric_det_invariant(f, g, n)))
+            for r in range(2 * turns):
+                p = pairs[r // 2 % 2]
+                results[i].append(
+                    bits(numeric_det_invariant(*NUMERIC_CORPUS[p], n)))
         except DomainError as exc:
             errors.append(exc)
 
@@ -511,7 +575,9 @@ def test_threads_keep_their_own_buffers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert results == [[want] * 15 for want in serial]
+    assert results == [[serial[pairs[r // 2 % 2], n] for r in range(2 * turns)]
+                       for pairs, n in jobs]
+    assert [series.count(ident) for ident in idents] == [4 * turns] * 3
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -550,6 +616,66 @@ def test_repeated_request_allocates_no_matrix():
     assert len(fredholm._per_thread.bufs) == 4
 
 
+# -- the last pair's series ------------------------------------------------------
+
+def test_a_ladder_sums_its_series_once(monkeypatch):
+    # The series depend on the pair alone, so a request on the thread's
+    # last pair at another size sums none and keeps the bits it has on a
+    # fresh thread.
+    series = _record_series(monkeypatch)
+    for f, g in NUMERIC_CORPUS:
+        for first, second, buffer in ((32, 64, None), (128, 16, 50)):
+            def ladder():
+                numeric_det_invariant(f, g, first, buffer)
+                summed = len(series)
+                value = numeric_det_invariant(f, g, second, buffer)
+                return summed, len(series) - summed, bits(value)
+
+            fresh = _in_new_thread(
+                lambda: bits(numeric_det_invariant(f, g, second, buffer)))
+            series.clear()
+            assert _in_new_thread(ladder) == (4, 0, fresh)
+
+
+A, B, C = 0.3 - 0.2j, -0.25 + 0.1j, 0.4j
+
+
+@pytest.mark.parametrize("pair, other", [
+    ((TrigPoly({1: complex(0.3, 0.0)}), TrigPoly({-1: C})),
+     (TrigPoly({1: complex(0.3, -0.0)}), TrigPoly({-1: C}))),
+    ((TrigPoly({1: A, 2: B}), TrigPoly({-1: C})),
+     (TrigPoly({2: B, 1: A}), TrigPoly({-1: C}))),
+    ((TrigPoly({1: A, 2: B}), TrigPoly({-1: C})),
+     (TrigPoly({1: A, 3: B}), TrigPoly({-1: C}))),
+    ((TrigPoly({1: A}), TrigPoly({-1: C})),
+     (TrigPoly({1: A}), TrigPoly({-1: B}))),
+    ((TrigPoly({1: A}), TrigPoly({-1: C})),
+     (TrigPoly({-1: C}), TrigPoly({1: A}))),
+    ((TrigPoly({1: A, 2: B}), TrigPoly({-1: C})),
+     (TrigPoly({1: A}), TrigPoly({2: B, -1: C}))),
+], ids=["sign-of-zero", "dict-order", "degree", "another-g",
+        "f-and-g-swapped", "coefficient-moved-to-g"])
+def test_another_pair_sums_its_series_again(monkeypatch, pair, other):
+    # Equal values may differ in bits, and the dict order fixes the order
+    # in which a series sums its terms, so a pair that differs only so is
+    # another pair.  The thread keeps one pair: going back to the first
+    # sums its series again.
+    series = _record_series(monkeypatch)
+    ladder = (pair, other, pair)
+
+    def requests():
+        got = []
+        for f, g in ladder:
+            summed = len(series)
+            value = numeric_det_invariant(f, g, 32)
+            got.append((len(series) - summed, bits(value)))
+        return got
+
+    got = _in_new_thread(requests)
+    assert got == [(4, _in_new_thread(
+        lambda: bits(numeric_det_invariant(f, g, 32)))) for f, g in ladder]
+
+
 # -- the buffer ---------------------------------------------------------------
 
 def _record_sizes(monkeypatch):
@@ -568,15 +694,8 @@ def _record_sizes(monkeypatch):
 def test_default_buffer_is_twice_the_significant_span(monkeypatch, pair):
     f, g = pair
     sizes = _record_sizes(monkeypatch)
-    series = []
-    original = fredholm.exp_symbol_coeffs
-
-    def recording(poly):
-        series.append(poly)
-        return original(poly)
-
-    monkeypatch.setattr(fredholm, "exp_symbol_coeffs", recording)
-    numeric_det_invariant(f, g, 32)
+    series = _record_series(monkeypatch)
+    _in_new_thread(lambda: numeric_det_invariant(f, g, 32))
     assert len(sizes) == 8
     assert set(sizes) == {32 + 2 * significant_span(f, g)}
     # one series per +- pair: e^{f_-}, e^{f_0 + f_+} and the same for g
@@ -587,11 +706,15 @@ def test_explicit_buffer_is_honoured(monkeypatch):
     f, g = NUMERIC_CORPUS[1]
     span = significant_span(f, g)
     sizes = _record_sizes(monkeypatch)
-    numeric_det_invariant(f, g, 32, buffer=2 * span + 5)
-    assert set(sizes) == {32 + 2 * span + 5}
-    numeric_det_invariant(f, g, 32, buffer=2 * span)
-    with pytest.raises(DomainError, match="buffer"):
-        numeric_det_invariant(f, g, 32, buffer=2 * span - 1)
+
+    def requests():
+        numeric_det_invariant(f, g, 32, buffer=2 * span + 5)
+        assert set(sizes) == {32 + 2 * span + 5}
+        numeric_det_invariant(f, g, 32, buffer=2 * span)
+        with pytest.raises(DomainError, match="buffer"):
+            numeric_det_invariant(f, g, 32, buffer=2 * span - 1)
+
+    _in_new_thread(requests)
 
 
 # -- the size cap ---------------------------------------------------------------
@@ -610,10 +733,14 @@ def test_size_cap_rejects_before_any_array(monkeypatch, over):
     cap = fredholm._MAX_DIM
     _refuse_arrays(monkeypatch)
     message = f"n \\+ buffer = {cap + over} exceeds the cap of {cap}$"
-    with pytest.raises(DomainError, match=message):
-        numeric_det_invariant(f, g, cap + over - 2 * span)
-    with pytest.raises(DomainError, match=message):
-        numeric_det_invariant(f, g, 16, buffer=cap + over - 16)
+
+    def requests():
+        with pytest.raises(DomainError, match=message):
+            numeric_det_invariant(f, g, cap + over - 2 * span)
+        with pytest.raises(DomainError, match=message):
+            numeric_det_invariant(f, g, 16, buffer=cap + over - 16)
+
+    _in_new_thread(requests)
 
 
 def _refuse_series(monkeypatch):
@@ -640,17 +767,21 @@ def test_span_and_norm_caps_reject_before_any_series(monkeypatch, poly,
                                                      message):
     _refuse_series(monkeypatch)
     small = TrigPoly({-1: 1.0})
-    for name, f, g in (("f", poly, small), ("g", small, poly)):
-        with pytest.raises(DomainError,
-                           match=f"^{name} has {re.escape(message)}$"):
-            numeric_det_invariant(f, g, 32)
+
+    def requests():
+        for name, f, g in (("f", poly, small), ("g", small, poly)):
+            with pytest.raises(DomainError,
+                               match=f"^{name} has {re.escape(message)}$"):
+                numeric_det_invariant(f, g, 32)
+
+    _in_new_thread(requests)
 
 
 def test_span_and_norm_caps_admit_a_symbol_at_the_caps(monkeypatch):
     _refuse_series(monkeypatch)
     at_caps = TrigPoly({-SPAN_CAP: NORM_CAP / 2, SPAN_CAP: NORM_CAP / 2})
     with pytest.raises(AssertionError, match="summed an exponential series"):
-        numeric_det_invariant(at_caps, at_caps, 32)
+        _in_new_thread(lambda: numeric_det_invariant(at_caps, at_caps, 32))
 
 
 @pytest.mark.parametrize("poly", [
@@ -684,11 +815,20 @@ def test_series_at_the_norm_cap_stop_before_the_term_cap(monkeypatch, poly):
     (TrigPoly({1: 20, -1: 20}), TrigPoly({1: -20, -1: -20}), 32, "3.45e+30"),
 ])
 def test_growth_cap_rejects_cancelling_factors(monkeypatch, f, g, n, growth):
+    # The growth check runs on every request, so the identical request,
+    # which reads the first one's series, is rejected in the same words.
     _refuse_arrays(monkeypatch)
+    series = _record_series(monkeypatch)
     message = (f"the exponential factors of f grow to {growth}, above the "
                f"cap of {fredholm._MAX_GROWTH:g}")
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        numeric_det_invariant(f, g, n)
+
+    def twice():
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                numeric_det_invariant(f, g, n)
+
+    _in_new_thread(twice)
+    assert len(series) == 4
 
 
 def test_default_buffer_as_accurate_as_the_old_default():
